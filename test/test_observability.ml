@@ -35,7 +35,7 @@ let profiled_run ?series_every ?(ops = 40) ?(seed = 7) () =
    ordered at (view 0, seq 1) by a two-replica toy cluster, one retransmit,
    a view change and a stable checkpoint. Used for the export golden files
    so they do not depend on simulation floats. *)
-let small_events () =
+let small_trace () =
   let t = Trace.create () in
   let req = Trace.req_id ~client:2 ~ts:1L in
   Trace.emit t ~vtime:0.000010 ~node:2 ~req_id:req ~detail:"read-write"
@@ -68,7 +68,9 @@ let small_events () =
   Trace.emit t ~vtime:0.000100 ~node:1 ~view:1 Trace.Viewchange_start;
   Trace.emit t ~vtime:0.000150 ~node:1 ~view:1 Trace.Viewchange_end;
   Trace.emit t ~vtime:0.000200 ~node:0 ~seqno:1 Trace.Checkpoint_stable;
-  Trace.events t
+  t
+
+let small_events () = Trace.events (small_trace ())
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -236,6 +238,32 @@ let test_chrome_golden () =
     (read_file "golden/chrome_small.json")
     (Chrome.of_events (small_events ()))
 
+(* --- JSONL exports ----------------------------------------------------------- *)
+
+(* The small trace plus one event whose detail needs every kind of string
+   escaping the export performs. *)
+let test_trace_jsonl_golden () =
+  let t = small_trace () in
+  Trace.emit t ~vtime:0.000250 ~node:3 ~detail:"q\"b\\n\nt\tc\r\001"
+    Trace.Net_drop;
+  check Alcotest.string "matches golden/trace_small.jsonl"
+    (read_file "golden/trace_small.jsonl")
+    (Trace.jsonl t)
+
+let test_profile_jsonl_golden () =
+  let busy = Array.fold_left ( +. ) 0.0 in
+  let r0 = [| 0.000125; 0.0000035; 0.0 |] in
+  let p =
+    Profile.make ~labels:[| "mac_gen"; "digest"; "exec" |]
+      [
+        ("replica 0", r0, busy r0);
+        ("client \"4\"", [| 0.0000015; 0.0; 0.002 |], 1.0);
+      ]
+  in
+  check Alcotest.string "matches golden/profile_small.jsonl"
+    (read_file "golden/profile_small.jsonl")
+    (Profile.jsonl p)
+
 let test_chrome_deterministic () =
   let _, t1 = traced_run () in
   let _, t2 = traced_run () in
@@ -326,6 +354,12 @@ let () =
         [
           Alcotest.test_case "golden file" `Quick test_chrome_golden;
           Alcotest.test_case "deterministic" `Quick test_chrome_deterministic;
+        ] );
+      ( "jsonl",
+        [
+          Alcotest.test_case "trace golden file" `Quick test_trace_jsonl_golden;
+          Alcotest.test_case "profile golden file" `Quick
+            test_profile_jsonl_golden;
         ] );
       ( "series",
         [

@@ -295,6 +295,14 @@ let test_campaign_deterministic () =
   in
   check Alcotest.string "same seed, same outcome" (run ()) (run ())
 
+let test_campaign_jsonl_golden () =
+  check Alcotest.string "matches golden/shard_campaign_healthy.jsonl"
+    (In_channel.with_open_bin "golden/shard_campaign_healthy.jsonl"
+       In_channel.input_all)
+    (Shard_campaign.jsonl
+       (Shard_campaign.run ~scenario:Shard_campaign.Healthy ~seed:1 ())
+    ^ "\n")
+
 let () =
   Alcotest.run "txn"
     [
@@ -321,5 +329,7 @@ let () =
           Alcotest.test_case "audit catches wedged txn" `Slow
             test_audit_catches_wedged_txn;
           Alcotest.test_case "deterministic" `Slow test_campaign_deterministic;
+          Alcotest.test_case "jsonl golden file" `Slow
+            test_campaign_jsonl_golden;
         ] );
     ]
