@@ -9,6 +9,7 @@ module E_fs = Bft_workloads.Experiments_fs
 module Ablations = Bft_workloads.Ablations
 module Report = Bft_workloads.Report
 module Microbench = Bft_workloads.Microbench
+module Json = Bft_util.Json
 
 let quick_arg =
   let doc = "Shrink sweep grids for a fast smoke run." in
@@ -41,14 +42,16 @@ let trace_cap_arg =
   Arg.(value & opt int (1 lsl 20) & info [ "trace-cap" ] ~doc ~docv:"N")
 
 let write_file path contents =
-  let oc =
-    try open_out path
-    with Sys_error msg ->
-      Printf.eprintf "bft_lab: cannot write %s: %s\n" path msg;
-      exit 1
-  in
-  output_string oc contents;
-  close_out oc
+  try Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+  with Sys_error msg ->
+    Printf.eprintf "bft_lab: cannot write %s\n" msg;
+    exit 1
+
+let read_file ~exit_code path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg ->
+    Printf.eprintf "bft_lab: cannot read %s\n" msg;
+    exit exit_code
 
 let dump_trace trace path =
   let module Trace = Bft_trace.Trace in
@@ -67,16 +70,7 @@ let backend_conv =
 (* Shared by chaos and monitor: parse + validate a chaos plan file. *)
 let read_plan_file ~n file =
   let module Plan = Bft_chaos.Plan in
-  let ic =
-    try open_in file
-    with Sys_error msg ->
-      Printf.eprintf "bft_lab: %s\n" msg;
-      exit 2
-  in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  match Plan.of_string s with
+  match Plan.of_string (read_file ~exit_code:2 file) with
   | Error msg ->
     Printf.eprintf "bft_lab: %s: %s\n" file msg;
     exit 2
@@ -719,14 +713,11 @@ let txn_cmd =
     let o = Sc.run ~scenario ~recovery:(not no_recovery) ~seed () in
     let line = Sc.jsonl o in
     print_endline line;
-    (match json_out with
-    | Some file ->
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file
-      in
-      output_string oc (line ^ "\n");
-      close_out oc
-    | None -> ());
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file
+          (fun oc -> output_string oc (line ^ "\n")))
+      json_out;
     List.iter
       (fun v -> Printf.eprintf "  %s: %s\n" v.Sc.invariant v.Sc.detail)
       o.Sc.violations;
@@ -823,32 +814,17 @@ let bench_cmd =
         (Saturation.health_alerts t);
       exit 1
     end;
-    let write path contents =
-      let oc =
-        try open_out path
-        with Sys_error msg ->
-          Printf.eprintf "bft_lab: cannot write %s: %s\n" path msg;
-          exit 1
-      in
-      output_string oc contents;
-      close_out oc
-    in
-    write json_out (Saturation.to_json t);
+    write_file json_out (Saturation.to_json t);
     Printf.printf "wrote %s\n" json_out;
     (match write_golden with
     | Some path ->
-      write path (Saturation.virtual_json t);
+      write_file path (Saturation.virtual_json t);
       Printf.printf "wrote golden %s\n" path
     | None -> ());
     match golden with
     | None -> ()
     | Some path ->
-      let expected =
-        try In_channel.with_open_bin path In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "bft_lab: cannot read golden %s: %s\n" path msg;
-          exit 1
-      in
+      let expected = read_file ~exit_code:1 path in
       let actual = Saturation.virtual_json t in
       if String.equal expected actual then
         Printf.printf "golden check: OK (%s)\n" path
@@ -1094,25 +1070,27 @@ let overload_cmd =
       (fun a -> Printf.printf "alert: %s\n" (Monitor.alert_detail a))
       (Monitor.alerts r.Openloop.ol_monitor);
     let jsonl =
-      let b = Buffer.create 256 in
-      Printf.bprintf b
-        "{\"schema\":\"bft-lab/overload/v2\",\"cost_profile\":%S,\"seed\":%d,\"rate\":%.3f,\"burst\":%.3f,\"period\":%.3f,\"duty\":%.3f,\"duration\":%.3f,\"stubs\":%d,\"queue_limit\":%d,\"offered\":%d,\"completed\":%d,\"rejected\":%d,\"unresolved\":%d,\"sheds\":%d,\"shed_rate\":%.3f,\"goodput\":%.3f,\"peak_backlog\":%d,\"peak_queue\":%d,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"retransmissions\":%d,\"safety_violations\":%d,\"alerts\":["
-        (Bft_sim.Calibration.name cal)
-        seed rate burst period duty duration stubs queue_limit
-        r.Openloop.ol_offered r.Openloop.ol_completed r.Openloop.ol_rejected
-        r.Openloop.ol_unresolved r.Openloop.ol_sheds r.Openloop.ol_shed_rate
-        r.Openloop.ol_goodput r.Openloop.ol_peak_backlog
-        r.Openloop.ol_peak_queue
-        (Stats.p50 r.Openloop.ol_latency *. 1e3)
-        (Stats.p99 r.Openloop.ol_latency *. 1e3)
-        r.Openloop.ol_retransmissions r.Openloop.ol_safety_violations;
-      List.iteri
-        (fun i a ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Monitor.alert_json a))
-        (Monitor.alerts r.Openloop.ol_monitor);
-      Buffer.add_string b "]}";
-      Buffer.contents b
+      let module O = Openloop in
+      Json.(
+        to_string
+          (Obj
+             [
+               ("schema", Str "bft-lab/overload/v2");
+               ("cost_profile", Str (Bft_sim.Calibration.name cal)); ("seed", int seed);
+               ("rate", fixed 3 rate); ("burst", fixed 3 burst); ("period", fixed 3 period);
+               ("duty", fixed 3 duty); ("duration", fixed 3 duration); ("stubs", int stubs);
+               ("queue_limit", int queue_limit); ("offered", int r.O.ol_offered);
+               ("completed", int r.O.ol_completed); ("rejected", int r.O.ol_rejected);
+               ("unresolved", int r.O.ol_unresolved); ("sheds", int r.O.ol_sheds);
+               ("shed_rate", fixed 3 r.O.ol_shed_rate); ("goodput", fixed 3 r.O.ol_goodput);
+               ("peak_backlog", int r.O.ol_peak_backlog);
+               ("peak_queue", int r.O.ol_peak_queue);
+               ("p50_ms", fixed 3 (Stats.p50 r.O.ol_latency *. 1e3));
+               ("p99_ms", fixed 3 (Stats.p99 r.O.ol_latency *. 1e3));
+               ("retransmissions", int r.O.ol_retransmissions);
+               ("safety_violations", int r.O.ol_safety_violations);
+               ("alerts", Monitor.alerts_json r.O.ol_monitor);
+             ]))
     in
     (match json_out with
     | None -> ()
@@ -1185,14 +1163,8 @@ let model_cmd =
           ~doc:"Relative-error band for $(b,--check)." ~docv:"FRACTION")
   in
   let run cal golden_file check tolerance =
-    let contents =
-      try In_channel.with_open_bin golden_file In_channel.input_all
-      with Sys_error msg ->
-        Printf.eprintf "bft_lab: cannot read golden %s: %s\n" golden_file msg;
-        exit 2
-    in
     let golden =
-      try Model.Golden.parse contents
+      try Model.Golden.parse (read_file ~exit_code:2 golden_file)
       with Failure msg ->
         Printf.eprintf "bft_lab: %s: %s\n" golden_file msg;
         exit 2

@@ -1,6 +1,7 @@
 module Engine = Bft_sim.Engine
 module Network = Bft_net.Network
 module Rng = Bft_util.Rng
+module Json = Bft_util.Json
 module Fingerprint = Bft_crypto.Fingerprint
 module Monitor = Bft_trace.Monitor
 open Bft_core
@@ -457,48 +458,27 @@ let run ?(ordering = Config.Single_primary) ?(unsafe_no_commit_quorum = false)
 
 (* --- reporting --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let violation_json v = Json.(Obj [ ("invariant", Str v.invariant); ("detail", Str v.detail) ])
 
 let jsonl ?(campaign = 0) ?trace_path o =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "{\"campaign\":%d,\"seed\":%d,\"events\":%d,\"ops_total\":%d,\"ops_completed\":%d,\"ops_rejected\":%d,\"sheds\":%d,\"final_view\":%d,\"views_after_heal\":%d,\"sim_time\":%.6f,"
-    campaign o.seed (List.length o.plan) o.ops_total o.ops_completed
-    o.ops_rejected o.sheds o.final_view o.views_after_heal o.sim_time;
-  (match trace_path with
-  | Some p -> Printf.bprintf b "\"trace\":\"%s\"," (escape p)
-  | None -> ());
-  Buffer.add_string b "\"violations\":[";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"invariant\":\"%s\",\"detail\":\"%s\"}" (escape v.invariant)
-        (escape v.detail))
-    o.violations;
-  Buffer.add_string b "],\"alerts\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Monitor.alert_json a))
-    o.alerts;
-  Buffer.add_string b "],\"plan\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "\"%s\"" (escape (Format.asprintf "%.6f %a" e.Plan.at Plan.pp_action e.Plan.action)))
-    o.plan;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let trace = match trace_path with Some p -> [ ("trace", Json.Str p) ] | None -> [] in
+  let event e = Json.Str (Format.asprintf "%.6f %a" e.Plan.at Plan.pp_action e.Plan.action) in
+  Json.(
+    to_string
+      (Obj
+         ([
+            ("campaign", int campaign); ("seed", int o.seed);
+            ("events", int (List.length o.plan)); ("ops_total", int o.ops_total);
+            ("ops_completed", int o.ops_completed); ("ops_rejected", int o.ops_rejected);
+            ("sheds", int o.sheds); ("final_view", int o.final_view);
+            ("views_after_heal", int o.views_after_heal); ("sim_time", fixed 6 o.sim_time);
+          ]
+         @ trace
+         @ [
+             ("violations", Arr (List.map violation_json o.violations));
+             ("alerts", Arr (List.map Monitor.alert_json o.alerts));
+             ("plan", Arr (List.map event o.plan));
+           ])))
 
 (* --- shrinking --- *)
 

@@ -81,6 +81,9 @@ val run :
     disk). Monitoring is pure observation: outcomes are byte-identical
     with default and custom limits as far as protocol fields go. *)
 
+val violation_json : violation -> Bft_util.Json.t
+(** [{"invariant":...,"detail":...}], as in {!jsonl}'s violation list. *)
+
 val jsonl : ?campaign:int -> ?trace_path:string -> outcome -> string
 (** One JSON line (no trailing newline) with a stable field order, so
     same-seed runs diff byte-identically. [trace_path] adds a ["trace"]

@@ -1,5 +1,6 @@
 module Engine = Bft_sim.Engine
 module Rng = Bft_util.Rng
+module Json = Bft_util.Json
 module Fingerprint = Bft_crypto.Fingerprint
 module Rig = Bft_shard.Rig
 module Router = Bft_shard.Router
@@ -449,30 +450,16 @@ let run ?(scenario = Healthy) ?(recovery = true) ~seed () =
 
 (* --- reporting --------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let jsonl o =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "{\"scenario\":\"%s\",\"seed\":%d,\"recovery\":%b,\"writes_committed\":%d,\"txns_started\":%d,\"txns_committed\":%d,\"txns_aborted\":%d,\"txns_in_doubt\":%d,\"recoveries\":%d,\"moved_slots\":%d,\"moved_keys\":%d,\"sim_time\":%.6f,\"violations\":["
-    (scenario_name o.scenario) o.seed o.recovery o.writes_committed
-    o.txns_started o.txns_committed o.txns_aborted o.txns_in_doubt o.recoveries
-    o.moved_slots o.moved_keys o.sim_time;
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b "{\"invariant\":\"%s\",\"detail\":\"%s\"}"
-        (escape v.invariant) (escape v.detail))
-    o.violations;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  Json.(
+    to_string
+      (Obj
+         [
+           ("scenario", Str (scenario_name o.scenario)); ("seed", int o.seed);
+           ("recovery", Bool o.recovery); ("writes_committed", int o.writes_committed);
+           ("txns_started", int o.txns_started); ("txns_committed", int o.txns_committed);
+           ("txns_aborted", int o.txns_aborted); ("txns_in_doubt", int o.txns_in_doubt);
+           ("recoveries", int o.recoveries); ("moved_slots", int o.moved_slots);
+           ("moved_keys", int o.moved_keys); ("sim_time", fixed 6 o.sim_time);
+           ("violations", Arr (List.map Campaign.violation_json o.violations));
+         ]))

@@ -12,6 +12,8 @@
    (microseconds, three decimals), and record order derived only from the
    event list. Equal traces render byte-identically. *)
 
+module Json = Bft_util.Json
+
 let pid = 1
 
 type milestones = {
@@ -59,29 +61,28 @@ let of_events events =
         if Hashtbl.find node_kind node then Printf.sprintf "client %d" node
         else Printf.sprintf "replica %d" node
       in
-      add
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-           pid node name);
-      add
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}"
-           pid node node))
+      let meta name args =
+        add Json.(Obj [ ("ph", Str "M"); ("pid", int pid); ("tid", int node);
+                        ("name", Str name); ("args", Obj args) ])
+      in
+      meta "thread_name" [ ("name", Json.Str name) ];
+      meta "thread_sort_index" [ ("sort_index", Json.int node) ])
     nodes;
+  let event ~ph ~node ~ts ~timing ~name ~cat ~args =
+    add
+      Json.(
+        Obj
+          ([ ("ph", Str ph); ("pid", int pid); ("tid", int node); ("ts", fixed 3 ts) ]
+          @ timing
+          @ [ ("name", Str name); ("cat", Str cat) ]
+          @ if args = [] then [] else [ ("args", Obj args) ]))
+  in
   let complete ~node ~name ~cat ~start ~stop ~args =
     let dur = Float.max 0.0 (us stop -. us start) in
-    add
-      (Printf.sprintf
-         "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"name\":\"%s\",\"cat\":\"%s\"%s}"
-         pid node (us start) dur name cat
-         (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args))
+    event ~ph:"X" ~node ~ts:(us start) ~timing:[ ("dur", Json.fixed 3 dur) ] ~name ~cat ~args
   in
   let instant ~node ~vtime ~name ~cat ~args =
-    add
-      (Printf.sprintf
-         "{\"ph\":\"i\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,\"s\":\"t\",\"name\":\"%s\",\"cat\":\"%s\"%s}"
-         pid node (us vtime) name cat
-         (if args = "" then "" else Printf.sprintf ",\"args\":{%s}" args))
+    event ~ph:"i" ~node ~ts:(us vtime) ~timing:[ ("s", Json.Str "t") ] ~name ~cat ~args
   in
   (* Request lifetime spans on the client track. *)
   let sends : (int64, float * int) Hashtbl.t = Hashtbl.create 64 in
@@ -104,16 +105,16 @@ let of_events events =
       | Trace.Client_send -> Hashtbl.replace sends e.Trace.req_id (vtime, node)
       | Trace.Client_retransmit ->
         instant ~node ~vtime ~name:"retransmit" ~cat:"client"
-          ~args:(Printf.sprintf "\"req\":%Ld" e.Trace.req_id)
+          ~args:[ ("req", Json.int64 e.Trace.req_id) ]
       | Trace.Client_deliver -> (
         match Hashtbl.find_opt sends e.Trace.req_id with
         | Some (start, snode) when snode = node ->
           complete ~node ~name:(Printf.sprintf "req %Ld" e.Trace.req_id)
             ~cat:"request" ~start ~stop:vtime
-            ~args:(Printf.sprintf "\"retries\":\"%s\"" e.Trace.detail)
+            ~args:[ ("retries", Json.Str e.Trace.detail) ]
         | _ ->
           instant ~node ~vtime ~name:"deliver" ~cat:"client"
-            ~args:(Printf.sprintf "\"req\":%Ld" e.Trace.req_id))
+            ~args:[ ("req", Json.int64 e.Trace.req_id) ])
       | Trace.Preprepare_sent | Trace.Preprepare_accepted ->
         let m = milestones (node, e.Trace.view, e.Trace.seqno) in
         if Float.is_nan m.ms_preprepare then m.ms_preprepare <- vtime
@@ -124,7 +125,7 @@ let of_events events =
           if not (Float.is_nan m.ms_preprepare) then
             complete ~node
               ~name:(Printf.sprintf "prepare v%d/%d" e.Trace.view e.Trace.seqno)
-              ~cat:"ordering" ~start:m.ms_preprepare ~stop:vtime ~args:""
+              ~cat:"ordering" ~start:m.ms_preprepare ~stop:vtime ~args:[]
         end
       | Trace.Committed ->
         let m = milestones (node, e.Trace.view, e.Trace.seqno) in
@@ -133,7 +134,7 @@ let of_events events =
           if not (Float.is_nan m.ms_prepared) then
             complete ~node
               ~name:(Printf.sprintf "commit v%d/%d" e.Trace.view e.Trace.seqno)
-              ~cat:"ordering" ~start:m.ms_prepared ~stop:vtime ~args:""
+              ~cat:"ordering" ~start:m.ms_prepared ~stop:vtime ~args:[]
         end
       | Trace.Exec_tentative | Trace.Exec_final ->
         instant ~node ~vtime
@@ -142,7 +143,7 @@ let of_events events =
                (if e.Trace.kind = Trace.Exec_tentative then "exec-tentative"
                 else "exec-final")
                e.Trace.seqno)
-          ~cat:"exec" ~args:""
+          ~cat:"exec" ~args:[]
       | Trace.Viewchange_start -> Hashtbl.replace vc_start node (vtime, e.Trace.view)
       | Trace.Viewchange_end -> (
         match Hashtbl.find_opt vc_start node with
@@ -150,26 +151,28 @@ let of_events events =
           Hashtbl.remove vc_start node;
           complete ~node
             ~name:(Printf.sprintf "view-change v%d" e.Trace.view)
-            ~cat:"viewchange" ~start ~stop:vtime ~args:""
+            ~cat:"viewchange" ~start ~stop:vtime ~args:[]
         | None ->
           instant ~node ~vtime
             ~name:(Printf.sprintf "view-change v%d" e.Trace.view)
-            ~cat:"viewchange" ~args:"")
+            ~cat:"viewchange" ~args:[])
       | Trace.Checkpoint_stable ->
         instant ~node ~vtime
           ~name:(Printf.sprintf "checkpoint %d" e.Trace.seqno)
-          ~cat:"checkpoint" ~args:""
+          ~cat:"checkpoint" ~args:[]
       | Trace.Request_recv | Trace.Exec_request | Trace.Reply_sent
       | Trace.Sim_fire | Trace.Net_enqueue | Trace.Net_serialize
       | Trace.Net_deliver | Trace.Net_drop ->
         ())
     events;
+  (* The same document [Json.to_string] would write, with one trace event
+     per line so large exports stay readable and diffable. *)
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf r)
+      Buffer.add_string buf (Json.to_string r))
     (List.rev !records);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -16,6 +16,7 @@
    sampling tick. *)
 
 module Stats = Bft_util.Stats
+module Json = Bft_util.Json
 
 (* --- observations ----------------------------------------------------- *)
 
@@ -108,32 +109,26 @@ let alert_detail a =
       (p99 *. 1e3) (limit *. 1e3) shed_rate
 
 let alert_json a =
-  let b = Buffer.create 128 in
-  Printf.bprintf b "{\"at\":%.6f,\"group\":\"%s\",\"kind\":\"%s\""
-    a.a_at (Trace.escape a.a_group) (kind_name a.a_kind);
-  (match a.a_kind with
-  | Stalled_commit { seqno; stuck_for; backlog } ->
-    Printf.bprintf b ",\"seqno\":%d,\"stuck_for\":%.6f,\"backlog\":%d" seqno
-      stuck_for backlog
-  | Silent_leader { view; primary; silent_for } ->
-    Printf.bprintf b ",\"view\":%d,\"primary\":%d,\"silent_for\":%.6f" view
-      primary silent_for
-  | Divergent_checkpoint { seqno; replicas } ->
-    Printf.bprintf b ",\"seqno\":%d,\"digests\":[" seqno;
-    List.iteri
-      (fun i (r, d) ->
-        if i > 0 then Buffer.add_char b ',';
-        Printf.bprintf b "{\"replica\":%d,\"digest\":\"%s\"}" r (Trace.escape d))
-      replicas;
-    Buffer.add_char b ']'
-  | Slo_breach { p99; limit; samples } ->
-    Printf.bprintf b ",\"p99\":%.6f,\"limit\":%.6f,\"samples\":%d" p99 limit
-      samples
-  | Overload { shed_rate; p99; limit } ->
-    Printf.bprintf b ",\"shed_rate\":%.6f,\"p99\":%.6f,\"limit\":%.6f"
-      shed_rate p99 limit);
-  Printf.bprintf b ",\"detail\":\"%s\"}" (Trace.escape (alert_detail a));
-  Buffer.contents b
+  let kind_fields =
+    Json.(
+      match a.a_kind with
+      | Stalled_commit { seqno; stuck_for; backlog } ->
+        [ ("seqno", int seqno); ("stuck_for", fixed 6 stuck_for); ("backlog", int backlog) ]
+      | Silent_leader { view; primary; silent_for } ->
+        [ ("view", int view); ("primary", int primary); ("silent_for", fixed 6 silent_for) ]
+      | Divergent_checkpoint { seqno; replicas } ->
+        let digest (r, d) = Obj [ ("replica", int r); ("digest", Str d) ] in
+        [ ("seqno", int seqno); ("digests", Arr (List.map digest replicas)) ]
+      | Slo_breach { p99; limit; samples } ->
+        [ ("p99", fixed 6 p99); ("limit", fixed 6 limit); ("samples", int samples) ]
+      | Overload { shed_rate; p99; limit } ->
+        [ ("shed_rate", fixed 6 shed_rate); ("p99", fixed 6 p99); ("limit", fixed 6 limit) ])
+  in
+  Json.(
+    Obj
+      ((("at", fixed 6 a.a_at) :: ("group", Str a.a_group)
+       :: ("kind", Str (kind_name a.a_kind)) :: kind_fields)
+      @ [ ("detail", Str (alert_detail a)) ]))
 
 (* --- the monitor ------------------------------------------------------ *)
 
@@ -254,22 +249,22 @@ let set_meta t meta = t.meta <- meta
 (* --- gauge-row rendering ---------------------------------------------- *)
 
 let gauges_json t g =
-  let b = Buffer.create 256 in
-  Printf.bprintf b
-    "{\"t\":%.6f,\"group\":\"%s\",\"completed\":%d,\"rejected\":%d,\"replicas\":["
-    g.g_time (Trace.escape t.group) g.g_completed g.g_rejected;
-  Array.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "{\"id\":%d,\"up\":%b,\"view\":%d,\"exec\":%d,\"commit\":%d,\"stable\":%d,\"digest\":\"%s\",\"queue\":%d,\"backlog\":%d,\"log\":%d,\"replay_dropped\":%d,\"shed\":%d,\"null_fill\":%d,\"reclaim\":%d,\"owner\":%d}"
-        r.r_id r.r_reachable r.r_view r.r_last_executed r.r_last_committed
-        r.r_last_stable (Trace.escape r.r_stable_digest) r.r_queue_depth
-        r.r_backlog r.r_log_depth r.r_replay_dropped r.r_shed r.r_null_fill
-        r.r_reclaim r.r_ordering_owner)
-    g.g_replicas;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let replica r =
+    Json.(
+      Obj
+        [ ("id", int r.r_id); ("up", Bool r.r_reachable); ("view", int r.r_view);
+          ("exec", int r.r_last_executed); ("commit", int r.r_last_committed);
+          ("stable", int r.r_last_stable); ("digest", Str r.r_stable_digest);
+          ("queue", int r.r_queue_depth); ("backlog", int r.r_backlog);
+          ("log", int r.r_log_depth); ("replay_dropped", int r.r_replay_dropped);
+          ("shed", int r.r_shed); ("null_fill", int r.r_null_fill);
+          ("reclaim", int r.r_reclaim); ("owner", int r.r_ordering_owner) ])
+  in
+  Json.(
+    Obj
+      [ ("t", fixed 6 g.g_time); ("group", Str t.group); ("completed", int g.g_completed);
+        ("rejected", int g.g_rejected);
+        ("replicas", Arr (Array.to_list (Array.map replica g.g_replicas))) ])
 
 let window_rows t =
   let n = Stdlib.min t.seen (Array.length t.window) in
@@ -302,60 +297,35 @@ let set_flight_recorder ?(trace = Trace.nil) ?profile ?(trace_last = 512)
    protocol-trace events — each line one self-describing record. *)
 let render_bundle t ~at ~reason alert =
   let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"type\":\"postmortem\",\"at\":%.6f,\"group\":\"%s\",\"reason\":\"%s\""
-    at (Trace.escape t.group) (Trace.escape reason);
-  List.iter
-    (fun (k, v) ->
-      Printf.bprintf b ",\"%s\":\"%s\"" (Trace.escape k) (Trace.escape v))
-    t.meta;
-  Buffer.add_string b "}\n";
-  (match alert with
-  | Some a ->
-    Buffer.add_string b "{\"type\":\"alert\",\"alert\":";
-    Buffer.add_string b (alert_json a);
-    Buffer.add_string b "}\n"
-  | None -> ());
-  List.iter
-    (fun a ->
-      Buffer.add_string b "{\"type\":\"alert_log\",\"alert\":";
-      Buffer.add_string b (alert_json a);
-      Buffer.add_string b "}\n")
-    (alerts t);
+  let line ty fields =
+    Buffer.add_string b (Json.to_string (Json.Obj (("type", Json.Str ty) :: fields)));
+    Buffer.add_char b '\n'
+  in
+  line "postmortem"
+    (("at", Json.fixed 6 at) :: ("group", Json.Str t.group) :: ("reason", Json.Str reason)
+    :: List.map (fun (k, v) -> (k, Json.Str v)) t.meta);
+  Option.iter (fun a -> line "alert" [ ("alert", alert_json a) ]) alert;
+  List.iter (fun a -> line "alert_log" [ ("alert", alert_json a) ]) (alerts t);
   let sk = t.sketch in
   if Stats.Sketch.count sk > 0 then
-    Printf.bprintf b
-      "{\"type\":\"slo\",\"samples\":%d,\"p50\":%.6f,\"p95\":%.6f,\"p99\":%.6f,\"max\":%.6f}\n"
-      (Stats.Sketch.count sk) (Stats.Sketch.p50 sk) (Stats.Sketch.p95 sk)
-      (Stats.Sketch.p99 sk) (Stats.Sketch.max sk);
-  List.iter
-    (fun g ->
-      Buffer.add_string b "{\"type\":\"gauges\",\"row\":";
-      Buffer.add_string b (gauges_json t g);
-      Buffer.add_string b "}\n")
-    (window_rows t);
+    line "slo"
+      Json.
+        [
+          ("samples", int (Stats.Sketch.count sk)); ("p50", fixed 6 (Stats.Sketch.p50 sk));
+          ("p95", fixed 6 (Stats.Sketch.p95 sk)); ("p99", fixed 6 (Stats.Sketch.p99 sk));
+          ("max", fixed 6 (Stats.Sketch.max sk));
+        ];
+  List.iter (fun g -> line "gauges" [ ("row", gauges_json t g) ]) (window_rows t);
   (match t.recorder with
   | Some { fr_profile = Some profile; _ } ->
-    let p = profile () in
-    String.split_on_char '\n' (Profile.jsonl p)
-    |> List.iter (fun line ->
-           if line <> "" then begin
-             Buffer.add_string b "{\"type\":\"profile\",\"node_profile\":";
-             Buffer.add_string b line;
-             Buffer.add_string b "}\n"
-           end)
+    List.iter (fun row -> line "profile" [ ("node_profile", row) ]) (Profile.rows (profile ()))
   | _ -> ());
   (match t.recorder with
   | Some { fr_trace; fr_trace_last; _ } when Trace.enabled fr_trace ->
     let events = Trace.events fr_trace in
-    let total = List.length events in
-    let skip = Stdlib.max 0 (total - fr_trace_last) in
+    let skip = Stdlib.max 0 (List.length events - fr_trace_last) in
     List.iteri
-      (fun i e ->
-        if i >= skip then begin
-          Buffer.add_string b "{\"type\":\"trace\",\"event\":";
-          Buffer.add_string b (Trace.event_jsonl e);
-          Buffer.add_string b "}\n"
-        end)
+      (fun i e -> if i >= skip then line "trace" [ ("event", Trace.event_json e) ])
       events
   | _ -> ());
   Buffer.contents b
@@ -583,13 +553,4 @@ let summary t =
          Printf.sprintf "; rotate null-fill %d reclaim %d" t.null_fill_total
            t.reclaim_total)
 
-let alerts_json t =
-  let b = Buffer.create 128 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (alert_json a))
-    (alerts t);
-  Buffer.add_char b ']';
-  Buffer.contents b
+let alerts_json t = Json.Arr (List.map alert_json (alerts t))

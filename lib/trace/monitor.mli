@@ -102,8 +102,8 @@ val kind_name : alert_kind -> string
 val alert_detail : alert -> string
 (** One-line human rendering. *)
 
-val alert_json : alert -> string
-(** One JSON object (no trailing newline), fixed field order. *)
+val alert_json : alert -> Bft_util.Json.t
+(** One JSON object, fixed field order. *)
 
 type t
 
@@ -130,7 +130,7 @@ val alert_count : t -> int
 val healthy : t -> bool
 (** No alerts so far. *)
 
-val alerts_json : t -> string
+val alerts_json : t -> Bft_util.Json.t
 (** JSON array of {!alert_json} objects. *)
 
 val latency_sketch : t -> Bft_util.Stats.Sketch.t
@@ -178,7 +178,7 @@ val summary : t -> string
 (** One-line operator summary (alerts, throughput, SLO quantiles, view
     changes, checkpoint lag, replay drops). *)
 
-val gauges_json : t -> gauges -> string
+val gauges_json : t -> gauges -> Bft_util.Json.t
 (** One gauge row as a JSON object (used by bundles and exports). *)
 
 (* --- flight recorder --- *)

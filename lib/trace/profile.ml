@@ -54,18 +54,15 @@ let share t i =
   let tot = total_busy t in
   if tot <= 0.0 then 0.0 else (totals t).(i) /. tot
 
-let jsonl t =
-  let b = Buffer.create 512 in
-  List.iter
+let rows t =
+  List.map
     (fun n ->
-      Buffer.add_string b (Printf.sprintf "{\"node\":%S" n.pn_name);
-      Array.iteri
-        (fun i x ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"%s_us\":%.3f" t.labels.(i) (x *. 1e6)))
-        n.pn_seconds;
-      Buffer.add_string b
-        (Printf.sprintf ",\"busy_us\":%.3f,\"balanced\":%b}\n"
-           (n.pn_busy *. 1e6) (balanced_node n)))
-    t.nodes;
-  Buffer.contents b
+      let category i x = (t.labels.(i) ^ "_us", Bft_util.Json.fixed 3 (x *. 1e6)) in
+      Bft_util.Json.(
+        Obj
+          ((("node", Str n.pn_name) :: Array.to_list (Array.mapi category n.pn_seconds))
+          @ [ ("busy_us", fixed 3 (n.pn_busy *. 1e6)); ("balanced", Bool (balanced_node n)) ])))
+    t.nodes
+
+let jsonl t =
+  String.concat "" (List.map (fun row -> Bft_util.Json.to_string row ^ "\n") (rows t))

@@ -39,5 +39,8 @@ val total_busy : t -> float
 val share : t -> int -> float
 (** Category [i]'s fraction of cluster-wide busy time; 0 when idle. *)
 
-val jsonl : t -> string
+val rows : t -> Bft_util.Json.t list
 (** One JSON object per node, microsecond fields, fixed formatting. *)
+
+val jsonl : t -> string
+(** {!rows}, one per line. *)

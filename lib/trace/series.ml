@@ -57,11 +57,8 @@ let samples t =
 let jsonl t =
   let b = Buffer.create 4096 in
   iter t (fun vtime values ->
-      Buffer.add_string b (Printf.sprintf "{\"t\":%.9f" vtime);
-      Array.iteri
-        (fun i v ->
-          Buffer.add_string b
-            (Printf.sprintf ",\"%s\":%.9g" (Trace.escape t.names.(i)) v))
-        values;
-      Buffer.add_string b "}\n");
+      let column i v = (t.names.(i), Bft_util.Json.general 9 v) in
+      let columns = Array.to_list (Array.mapi column values) in
+      Buffer.add_string b Bft_util.Json.(to_string (Obj (("t", fixed 9 vtime) :: columns)));
+      Buffer.add_char b '\n');
   Buffer.contents b

@@ -1,3 +1,5 @@
+module Json = Bft_util.Json
+
 type kind =
   | Sim_fire
   | Net_enqueue
@@ -120,30 +122,16 @@ let kind_name = function
   | Viewchange_end -> "replica.viewchange_end"
   | Checkpoint_stable -> "replica.checkpoint_stable"
 
-(* Only [detail] can hold arbitrary bytes; everything else formats from
-   numbers, so escaping the single string keeps the export valid JSON. *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let event_jsonl e =
-  Printf.sprintf
-    "{\"t\":%.9f,\"node\":%d,\"kind\":\"%s\",\"seq\":%d,\"view\":%d,\"req\":%Ld,\"detail\":\"%s\"}"
-    e.vtime e.node (kind_name e.kind) e.seqno e.view e.req_id (escape e.detail)
+let event_json e =
+  Json.(
+    Obj
+      [ ("t", fixed 9 e.vtime); ("node", int e.node); ("kind", Str (kind_name e.kind));
+        ("seq", int e.seqno); ("view", int e.view); ("req", int64 e.req_id);
+        ("detail", Str e.detail) ])
 
 let jsonl t =
   let b = Buffer.create 4096 in
   iter t (fun e ->
-      Buffer.add_string b (event_jsonl e);
+      Buffer.add_string b (Json.to_string (event_json e));
       Buffer.add_char b '\n');
   Buffer.contents b

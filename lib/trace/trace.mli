@@ -98,13 +98,9 @@ val req_id : client:int -> ts:int64 -> int64
 val kind_name : kind -> string
 (** Stable dotted name, e.g. ["replica.prepared"]. *)
 
-val escape : string -> string
-(** Escape a string for embedding in a JSON string literal; shared by the
-    sibling exporters. *)
-
-val event_jsonl : event -> string
-(** One JSON object, no trailing newline; fixed key order and float
-    formatting so equal traces render byte-identically. *)
+val event_json : event -> Bft_util.Json.t
+(** One JSON object with fixed key order and float formatting, so equal
+    traces render byte-identically. *)
 
 val jsonl : t -> string
 (** All surviving events, one JSON object per line. *)

@@ -27,6 +27,7 @@
 
 open Bft_core
 module Calibration = Bft_sim.Calibration
+module Json = Bft_util.Json
 module Fingerprint = Bft_crypto.Fingerprint
 
 type resource = Primary_cpu | Backup_cpu | Link | Client_cpu
@@ -413,9 +414,9 @@ let predict_rotating ?(config = Config.make ~f:1 ())
 
 (* --- predicted-vs-observed report over the golden bench surface ------- *)
 
-(* Minimal scanner for the fixed JSON the bench emits (hand-rolled there,
-   hand-parsed here: stable field order and formats, no nesting surprises
-   beyond per_group arrays). *)
+(* The golden bench surface, read back through the strict JSON parser: a
+   truncated or padded golden is an error, never a silently shorter row
+   list. *)
 module Golden = struct
   type point = { gp_clients : int; gp_ops_per_sec : float }
   type micro = { gm_label : string; gm_arg : int; gm_res : int; gm_mean_us : float }
@@ -437,158 +438,42 @@ module Golden = struct
     g_rotating : rotating option;
   }
 
-  let fail fmt = Printf.ksprintf failwith fmt
-
-  (* Value of ["key":...] starting at the first occurrence of the key. *)
-  let raw_field s key =
-    let pat = "\"" ^ key ^ "\":" in
-    let plen = String.length pat in
-    let rec find i =
-      if i + plen > String.length s then None
-      else if String.sub s i plen = pat then Some (i + plen)
-      else find (i + 1)
+  let of_json doc =
+    let open Json in
+    let schema = string_field "schema" doc in
+    if schema <> "bft-lab/bench-virtual/v2" && schema <> "bft-lab/bench-micro/v2"
+    then failwith (Printf.sprintf "unsupported schema %S" schema);
+    let rows key row = List.map row (list_field key doc) in
+    let micro o =
+      { gm_label = string_field "label" o; gm_arg = int_field "arg" o;
+        gm_res = int_field "res" o; gm_mean_us = float_field "mean_us" o }
     in
-    match find 0 with
-    | None -> None
-    | Some start ->
-      let buf = Buffer.create 16 in
-      let len = String.length s in
-      let rec scan i depth in_str =
-        if i >= len then Buffer.contents buf
-        else
-          let c = s.[i] in
-          if in_str then begin
-            Buffer.add_char buf c;
-            scan (i + 1) depth (c <> '"')
-          end
-          else if c = '"' then begin
-            Buffer.add_char buf c;
-            scan (i + 1) depth true
-          end
-          else if c = '[' || c = '{' then begin
-            Buffer.add_char buf c;
-            scan (i + 1) (depth + 1) false
-          end
-          else if c = ']' || c = '}' then
-            if depth = 0 then Buffer.contents buf
-            else begin
-              Buffer.add_char buf c;
-              scan (i + 1) (depth - 1) false
-            end
-          else if c = ',' && depth = 0 then Buffer.contents buf
-          else begin
-            Buffer.add_char buf c;
-            scan (i + 1) depth false
-          end
-      in
-      Some (scan start 0 false)
-
-  let str_field s key =
-    match raw_field s key with
-    | Some v
-      when String.length v >= 2 && v.[0] = '"' && v.[String.length v - 1] = '"'
-      ->
-      String.sub v 1 (String.length v - 2)
-    | Some v -> fail "golden: field %S is not a string: %s" key v
-    | None -> fail "golden: missing field %S" key
-
-  let int_field s key =
-    match raw_field s key with
-    | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some i -> i
-      | None -> fail "golden: field %S is not an int: %s" key v)
-    | None -> fail "golden: missing field %S" key
-
-  let float_field s key =
-    match raw_field s key with
-    | Some v -> (
-      match float_of_string_opt (String.trim v) with
-      | Some f -> f
-      | None -> fail "golden: field %S is not a number: %s" key v)
-    | None -> fail "golden: missing field %S" key
-
-  (* Split a ["[{...},{...}]"] array value into its top-level objects. *)
-  let objects v =
-    let len = String.length v in
-    let out = ref [] in
-    let start = ref (-1) in
-    let depth = ref 0 in
-    let in_str = ref false in
-    for i = 0 to len - 1 do
-      let c = v.[i] in
-      if !in_str then (if c = '"' then in_str := false)
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' ->
-          if !depth = 0 then start := i;
-          incr depth
-        | '}' ->
-          decr depth;
-          if !depth = 0 && !start >= 0 then begin
-            out := String.sub v !start (i - !start + 1) :: !out;
-            start := -1
-          end
-        | _ -> ()
-    done;
-    List.rev !out
-
-  let array_field s key =
-    match raw_field s key with
-    | Some v -> objects v
-    | None -> fail "golden: missing section %S" key
+    let point o =
+      { gp_clients = int_field "clients" o; gp_ops_per_sec = float_field "ops_per_sec" o }
+    in
+    let scale o =
+      { gs_groups = int_field "groups" o; gs_clients = int_field "clients" o;
+        gs_sim_rps = float_field "sim_rps" o }
+    in
+    let rotating o =
+      { gr_clients = int_field "clients" o; gr_epoch_length = int_field "epoch_length" o;
+        gr_single_ops = float_field "single_ops_per_sec" o;
+        gr_ops = float_field "ops_per_sec" o }
+    in
+    {
+      g_profile = string_field "cost_profile" doc;
+      g_seed = int_field "seed" doc;
+      g_micro = rows "micro" micro;
+      g_curve = rows "saturation" point;
+      g_scaling = rows "scaling" scale;
+      g_rotating = Option.map rotating (member "rotating" doc);
+    }
 
   let parse s =
-    let schema = str_field s "schema" in
-    if
-      schema <> "bft-lab/bench-virtual/v2" && schema <> "bft-lab/bench-micro/v2"
-    then fail "golden: unsupported schema %S" schema;
-    let g_profile = str_field s "cost_profile" in
-    let g_seed = int_field s "seed" in
-    let g_micro =
-      List.map
-        (fun o ->
-          {
-            gm_label = str_field o "label";
-            gm_arg = int_field o "arg";
-            gm_res = int_field o "res";
-            gm_mean_us = float_field o "mean_us";
-          })
-        (array_field s "micro")
-    in
-    let g_curve =
-      List.map
-        (fun o ->
-          {
-            gp_clients = int_field o "clients";
-            gp_ops_per_sec = float_field o "ops_per_sec";
-          })
-        (array_field s "saturation")
-    in
-    let g_scaling =
-      List.map
-        (fun o ->
-          {
-            gs_groups = int_field o "groups";
-            gs_clients = int_field o "clients";
-            gs_sim_rps = float_field o "sim_rps";
-          })
-        (array_field s "scaling")
-    in
-    let g_rotating =
-      match raw_field s "rotating" with
-      | None -> None
-      | Some o ->
-        Some
-          {
-            gr_clients = int_field o "clients";
-            gr_epoch_length = int_field o "epoch_length";
-            gr_single_ops = float_field o "single_ops_per_sec";
-            gr_ops = float_field o "ops_per_sec";
-          }
-    in
-    { g_profile; g_seed; g_micro; g_curve; g_scaling; g_rotating }
+    let fail msg = failwith ("golden: " ^ msg) in
+    match Json.parse s with
+    | Error msg -> fail msg
+    | Ok doc -> ( try of_json doc with Failure msg -> fail msg)
 end
 
 type row = {

@@ -86,7 +86,8 @@ module Golden : sig
 
   val parse : string -> t
   (** Parse a bench JSON document. Raises [Failure] with a descriptive
-      message on schema/field mismatch. *)
+      message on invalid JSON (including a truncated document or trailing
+      bytes) and on schema/field mismatch. *)
 end
 
 type row = {

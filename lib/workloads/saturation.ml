@@ -7,6 +7,8 @@
    simulator itself retires per real second) measure the simulator's hot
    path and are what the perf trajectory in BENCH_micro.json tracks. *)
 
+module Json = Bft_util.Json
+
 type micro = {
   mi_label : string;
   mi_arg : int;
@@ -325,103 +327,97 @@ let rotating_sim_rps t = t.rotating.ro_ops_per_sec
    >= 1.3x rotation gate. *)
 let rotating_speedup t = t.rotating.ro_speedup
 
-(* Hand-rolled JSON: stable field order and fixed float formats, because
-   the virtual part is compared byte-for-byte against a golden file. *)
-let buf_addf buf fmt = Printf.ksprintf (Buffer.add_string buf) fmt
+(* Stable field order and fixed float formats, because the virtual part is
+   compared byte-for-byte against a golden file. *)
+let micro_virtual_fields profile m =
+  Json.
+    [
+      ("cost_profile", Str profile); ("label", Str m.mi_label); ("arg", int m.mi_arg);
+      ("res", int m.mi_res); ("mean_us", fixed 3 m.mi_mean_us);
+      ("stddev_us", fixed 3 m.mi_stddev_us); ("ops", int m.mi_ops);
+    ]
 
-let micro_virtual_fields profile buf m =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"label\":%S,\"arg\":%d,\"res\":%d,\"mean_us\":%.3f,\"stddev_us\":%.3f,\"ops\":%d"
-    m.mi_label m.mi_arg m.mi_res m.mi_mean_us m.mi_stddev_us m.mi_ops
+let point_virtual_fields profile p =
+  Json.
+    [
+      ("cost_profile", Str profile); ("clients", int p.pt_clients);
+      ("ops_per_sec", fixed 1 p.pt_ops_per_sec); ("completed", int p.pt_completed);
+      ("retransmissions", int p.pt_retransmissions);
+    ]
 
-let point_virtual_fields profile buf p =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"clients\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d"
-    p.pt_clients p.pt_ops_per_sec p.pt_completed p.pt_retransmissions
+let scale_virtual_fields profile s =
+  Json.
+    [
+      ("cost_profile", Str profile); ("groups", int s.sc_groups); ("clients", int s.sc_clients);
+      ("sim_rps", fixed 1 s.sc_sim_rps); ("completed", int s.sc_completed);
+      ("retransmissions", int s.sc_retransmissions);
+      ("per_group", Arr (Array.to_list (Array.map int s.sc_per_group)));
+    ]
 
-let scale_virtual_fields profile buf s =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"groups\":%d,\"clients\":%d,\"sim_rps\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"per_group\":[%s]"
-    s.sc_groups s.sc_clients s.sc_sim_rps s.sc_completed s.sc_retransmissions
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int s.sc_per_group)))
+let rotating_virtual_fields profile r =
+  Json.
+    [
+      ("cost_profile", Str profile); ("clients", int r.ro_clients);
+      ("epoch_length", int r.ro_epoch_length);
+      ("single_ops_per_sec", fixed 1 r.ro_single_ops_per_sec);
+      ("ops_per_sec", fixed 1 r.ro_ops_per_sec); ("completed", int r.ro_completed);
+      ("retransmissions", int r.ro_retransmissions); ("speedup", fixed 2 r.ro_speedup);
+    ]
 
-let rotating_virtual_fields profile buf r =
-  buf_addf buf "\"cost_profile\":%S," profile;
-  buf_addf buf
-    "\"clients\":%d,\"epoch_length\":%d,\"single_ops_per_sec\":%.1f,\"ops_per_sec\":%.1f,\"completed\":%d,\"retransmissions\":%d,\"speedup\":%.2f"
-    r.ro_clients r.ro_epoch_length r.ro_single_ops_per_sec r.ro_ops_per_sec
-    r.ro_completed r.ro_retransmissions r.ro_speedup
+let rows fields items = Json.Arr (List.map (fun item -> Json.Obj (fields item)) items)
 
-let json_list buf items emit =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '{';
-      emit buf item;
-      Buffer.add_char buf '}')
-    items;
-  Buffer.add_char buf ']'
+let document schema t sections =
+  let header =
+    Json.[ ("schema", Str schema); ("seed", int t.seed); ("quick", Bool t.quick);
+           ("cost_profile", Str t.cost_profile) ]
+  in
+  Json.to_string (Json.Obj (header @ sections)) ^ "\n"
 
 let virtual_json t =
-  let buf = Buffer.create 1024 in
-  buf_addf buf
-    "{\"schema\":\"bft-lab/bench-virtual/v2\",\"seed\":%d,\"quick\":%b,\"cost_profile\":%S,"
-    t.seed t.quick t.cost_profile;
-  Buffer.add_string buf "\"micro\":";
-  json_list buf t.micro (micro_virtual_fields t.cost_profile);
-  Buffer.add_string buf ",\"saturation\":";
-  json_list buf t.curve (point_virtual_fields t.cost_profile);
-  Buffer.add_string buf ",\"scaling\":";
-  json_list buf t.scaling (scale_virtual_fields t.cost_profile);
-  Buffer.add_string buf ",\"rotating\":{";
-  rotating_virtual_fields t.cost_profile buf t.rotating;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+  let profile = t.cost_profile in
+  document "bft-lab/bench-virtual/v2" t
+    [
+      ("micro", rows (micro_virtual_fields profile) t.micro);
+      ("saturation", rows (point_virtual_fields profile) t.curve);
+      ("scaling", rows (scale_virtual_fields profile) t.scaling);
+      ("rotating", Json.Obj (rotating_virtual_fields profile t.rotating));
+    ]
 
 let to_json t =
-  let buf = Buffer.create 2048 in
-  buf_addf buf
-    "{\"schema\":\"bft-lab/bench-micro/v2\",\"seed\":%d,\"quick\":%b,\"cost_profile\":%S,"
-    t.seed t.quick t.cost_profile;
-  Buffer.add_string buf "\"micro\":";
-  json_list buf t.micro (fun buf m ->
-      micro_virtual_fields t.cost_profile buf m;
-      buf_addf buf ",\"wall_s\":%.3f" m.mi_wall_s);
-  Buffer.add_string buf ",\"saturation\":";
-  json_list buf t.curve (fun buf p ->
-      point_virtual_fields t.cost_profile buf p;
-      buf_addf buf ",\"wall_s\":%.3f,\"sim_rps\":%.0f" p.pt_wall_s p.pt_sim_rps);
-  (match peak t with
-  | Some p ->
-    buf_addf buf ",\"peak\":{\"clients\":%d,\"ops_per_sec\":%.1f}" p.pt_clients
-      p.pt_ops_per_sec
-  | None -> ());
-  Buffer.add_string buf ",\"scaling\":";
-  json_list buf t.scaling (fun buf s ->
-      scale_virtual_fields t.cost_profile buf s;
-      buf_addf buf ",\"wall_s\":%.3f" s.sc_wall_s);
+  let profile = t.cost_profile in
+  let wall s = [ ("wall_s", Json.fixed 3 s) ] in
+  let peak_row p = Json.(Obj [ ("clients", int p.pt_clients); ("ops_per_sec", fixed 1 p.pt_ops_per_sec) ]) in
   let speedup = scaling_speedup t ~groups:2 in
-  if not (Float.is_nan speedup) then
-    buf_addf buf ",\"scaling_speedup_2g\":%.2f" speedup;
-  Buffer.add_string buf ",\"rotating\":{";
-  rotating_virtual_fields t.cost_profile buf t.rotating;
-  buf_addf buf ",\"wall_s\":%.3f}" t.rotating.ro_wall_s;
-  buf_addf buf ",\"rotating_sim_rps\":%.0f,\"rotating_speedup\":%.2f"
-    (rotating_sim_rps t) (rotating_speedup t);
-  Buffer.add_string buf ",\"cross_shard\":";
-  json_list buf t.cross_shard (fun buf c ->
-      buf_addf buf "\"cost_profile\":%S," t.cost_profile;
-      buf_addf buf
-        "\"cross_fraction\":%.2f,\"groups\":%d,\"ops_per_sec\":%.1f,\"completed\":%d,\"cross_committed\":%d,\"cross_aborted\":%d,\"wall_s\":%.3f"
-        c.cx_fraction cross_groups c.cx_ops_per_sec c.cx_completed
-        c.cx_cross_committed c.cx_cross_aborted c.cx_wall_s);
-  buf_addf buf ",\"batched_sim_rps\":%.0f}\n" (batched_sim_rps t);
-  Buffer.contents buf
+  let speedup =
+    if Float.is_nan speedup then [] else [ ("scaling_speedup_2g", Json.fixed 2 speedup) ]
+  in
+  let cross c =
+    Json.
+      [
+        ("cost_profile", Str profile); ("cross_fraction", fixed 2 c.cx_fraction);
+        ("groups", int cross_groups); ("ops_per_sec", fixed 1 c.cx_ops_per_sec);
+        ("completed", int c.cx_completed); ("cross_committed", int c.cx_cross_committed);
+        ("cross_aborted", int c.cx_cross_aborted); ("wall_s", fixed 3 c.cx_wall_s);
+      ]
+  in
+  let micro m = micro_virtual_fields profile m @ wall m.mi_wall_s in
+  let point p =
+    point_virtual_fields profile p @ wall p.pt_wall_s @ [ ("sim_rps", Json.fixed 0 p.pt_sim_rps) ]
+  in
+  let scale s = scale_virtual_fields profile s @ wall s.sc_wall_s in
+  document "bft-lab/bench-micro/v2" t
+    ([ ("micro", rows micro t.micro); ("saturation", rows point t.curve) ]
+    @ List.map (fun p -> ("peak", peak_row p)) (Option.to_list (peak t))
+    @ [ ("scaling", rows scale t.scaling) ]
+    @ speedup
+    @ [
+        ( "rotating",
+          Json.Obj (rotating_virtual_fields profile t.rotating @ wall t.rotating.ro_wall_s) );
+        ("rotating_sim_rps", Json.fixed 0 (rotating_sim_rps t));
+        ("rotating_speedup", Json.fixed 2 (rotating_speedup t));
+        ("cross_shard", rows cross t.cross_shard);
+        ("batched_sim_rps", Json.fixed 0 (batched_sim_rps t));
+      ])
 
 let print t =
   Printf.printf "micro-ops (seed %d%s, cost profile %s):\n" t.seed

@@ -35,6 +35,21 @@ let test_golden_parse_rejects_v1 () =
   | _ -> Alcotest.fail "v1 schema must be rejected"
   | exception Failure _ -> ()
 
+(* A golden cut short or followed by extra bytes must fail loudly: read
+   leniently, a truncated file would check fewer rows and still pass. *)
+let test_golden_parse_rejects_truncated () =
+  let contents = In_channel.with_open_bin golden_path In_channel.input_all in
+  let cut = String.sub contents 0 (String.length contents * 6 / 10) in
+  match Model.Golden.parse cut with
+  | _ -> Alcotest.fail "a truncated golden must be rejected"
+  | exception Failure _ -> ()
+
+let test_golden_parse_rejects_trailing () =
+  let contents = In_channel.with_open_bin golden_path In_channel.input_all in
+  match Model.Golden.parse (contents ^ "{\"schema\":\"x\"}\n") with
+  | _ -> Alcotest.fail "trailing bytes after the golden must be rejected"
+  | exception Failure _ -> ()
+
 (* --- prediction pins against the golden rows ---------------------------- *)
 
 (* Every golden row predicted within the CI tolerance band on the default
@@ -208,6 +223,10 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_golden_parse;
           Alcotest.test_case "rejects v1" `Quick test_golden_parse_rejects_v1;
+          Alcotest.test_case "rejects truncated" `Quick
+            test_golden_parse_rejects_truncated;
+          Alcotest.test_case "rejects trailing bytes" `Quick
+            test_golden_parse_rejects_trailing;
         ] );
       ( "pins",
         [

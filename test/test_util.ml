@@ -1,4 +1,5 @@
-(* Unit and property tests for Bft_util: heap, rng, stats, codec, table. *)
+(* Unit and property tests for Bft_util: heap, rng, stats, codec, table,
+   json. *)
 
 open Bft_util
 
@@ -365,6 +366,140 @@ let test_table_cells () =
   check Alcotest.string "pct" "+14.0%" (Table.cell_pct 0.14);
   check Alcotest.string "int" "7" (Table.cell_i 7)
 
+(* --- json ------------------------------------------------------------- *)
+
+let json_t = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Json.to_string v)) ( = )
+
+let test_json_render () =
+  let v =
+    Json.(
+      Obj
+        [
+          ("i", int (-3));
+          ("l", int64 2199023255553L);
+          ("f6", fixed 6 0.1);
+          ("f0", fixed 0 2.6);
+          ("g9", general 9 1234567.0);
+          ("b", Bool false);
+          ("n", Null);
+          ("a", Arr [ Str "q\"b\\n\nt\tc\r\001\x7f\xe9"; Arr []; Obj [] ]);
+        ])
+  in
+  check Alcotest.string "compact, fixed formats, one escape"
+    ({|{"i":-3,"l":2199023255553,"f6":0.100000,"f0":3,"g9":1234567,"b":false,"n":null,"a":["q\"b\\n\nt\u0009c\u000d\u0001|}
+    ^ "\x7f\xe9" ^ {|",[],{}]}|})
+    (Json.to_string v)
+
+let test_json_non_finite_is_null () =
+  List.iter
+    (fun x ->
+      check json_t "fixed" Json.Null (Json.fixed 3 x);
+      check json_t "general" Json.Null (Json.general 9 x))
+    [ nan; infinity; neg_infinity ];
+  check Alcotest.string "in an object" {|{"p50_ms":null,"p99_ms":null}|}
+    (Json.to_string
+       (Json.Obj [ ("p50_ms", Json.fixed 3 nan); ("p99_ms", Json.fixed 3 infinity) ]))
+
+let test_json_parse () =
+  check
+    (Alcotest.result json_t Alcotest.string)
+    "whitespace, escapes, numbers"
+    (Ok
+       Json.(
+         Obj
+           [
+             ("a", Arr [ Num "-0.5e+3"; Num "0"; Bool true; Null ]);
+             ("s", Str "/\b\012\n\r\t\xc3\xa9\xf0\x9f\x98\x80");
+           ]))
+    (Json.parse
+       " {\"a\" : [ -0.5e+3 , 0, true,null ] ,\n\"s\":\"\\/\\b\\f\\n\\r\\t\\u00e9\\ud83d\\ude00\"}\r\n")
+
+let test_json_parse_rejects () =
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | Ok v -> Alcotest.failf "%S parsed as %s" doc (Json.to_string v)
+      | Error _ -> ())
+    [
+      "";
+      " ";
+      "{\"a\":1";
+      "{\"a\":1}x";
+      "{\"a\":1} {}";
+      "[1,]";
+      "{\"a\":1,}";
+      "{a:1}";
+      "\"tab\tinside\"";
+      "\"bad \\x escape\"";
+      "\"\\ud83d alone\"";
+      "\"unterminated";
+      "01";
+      "1.";
+      "-";
+      ".5";
+      "1e";
+      "+1";
+      "NaN";
+      "nan";
+      "Infinity";
+      "-Infinity";
+      "tru";
+    ]
+
+let test_json_accessors () =
+  let v =
+    match Json.parse {|{"s":"x","i":42,"f":2.5,"l":[1],"i2":4.0}|} with
+    | Ok v -> v
+    | Error e -> Alcotest.fail e
+  in
+  check Alcotest.string "string" "x" (Json.string_field "s" v);
+  check Alcotest.int "int" 42 (Json.int_field "i" v);
+  check (Alcotest.float 0.0) "float" 2.5 (Json.float_field "f" v);
+  check (Alcotest.float 0.0) "int as float" 42.0 (Json.float_field "i" v);
+  check Alcotest.int "list" 1 (List.length (Json.list_field "l" v));
+  check Alcotest.bool "absent member" true (Json.member "zz" v = None);
+  check Alcotest.bool "member of a non-object" true (Json.member "s" (Json.Arr []) = None);
+  Alcotest.check_raises "missing" (Failure "missing field \"zz\"") (fun () ->
+      ignore (Json.int_field "zz" v));
+  Alcotest.check_raises "mistyped" (Failure "field \"s\" is not an int")
+    (fun () -> ignore (Json.int_field "s" v));
+  Alcotest.check_raises "not integral" (Failure "field \"i2\" is not an int")
+    (fun () -> ignore (Json.int_field "i2" v))
+
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map Json.int int;
+        map Json.int64 ui64;
+        map2 Json.fixed (int_bound 9) float;
+        map (Json.general 9) float;
+        map (fun s -> Json.Str s) str;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n - 1)))) );
+             ])
+
+let json_roundtrip_prop =
+  QCheck.Test.make ~name:"json parse (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
 let () =
   let q = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20010701 |]) in
   Alcotest.run "util"
@@ -425,5 +560,15 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "arity" `Quick test_table_arity;
           Alcotest.test_case "cells" `Quick test_table_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "render" `Quick test_json_render;
+          Alcotest.test_case "non-finite floats are null" `Quick
+            test_json_non_finite_is_null;
+          Alcotest.test_case "parse" `Quick test_json_parse;
+          Alcotest.test_case "parse rejects" `Quick test_json_parse_rejects;
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
+          q json_roundtrip_prop;
         ] );
     ]
