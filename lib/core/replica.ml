@@ -67,9 +67,12 @@ type t = {
   (* checkpoints *)
   mutable last_stable : seqno;
   mutable stable_digest : Fingerprint.t;
-  mutable stable_snapshot : Payload.t;
+  mutable stable_snapshot : Service.frozen;
+  mutable stable_pages : (Payload.t array * Fingerprint.t array) option;
+      (** pages and page digests of [stable_snapshot], built on the first
+          state-transfer request that needs them *)
   own_checkpoints : (seqno, Fingerprint.t) Hashtbl.t;
-  checkpoint_snapshots : (seqno, Payload.t) Hashtbl.t;
+  checkpoint_snapshots : (seqno, Service.frozen) Hashtbl.t;
   checkpoint_msgs : (seqno, (replica_id, Fingerprint.t) Hashtbl.t) Hashtbl.t;
   stable_certs : (seqno, Fingerprint.t) Hashtbl.t;
   (* liveness *)
@@ -275,22 +278,42 @@ let client_table_encoding t =
     entries;
   Enc.to_string enc
 
-let state_digest t =
-  let table = client_table_encoding t in
+let state_digest t ~table =
   charge ~cat:Cpu.Digest t
     (Calibration.digest_cost (cal t)
        (t.service.Service.modified_since_checkpoint () + String.length table));
   Fingerprint.of_parts [ t.service.Service.state_digest (); table ]
 
-let snapshot_payload t =
-  let svc = t.service.Service.snapshot () in
-  let enc = Enc.create () in
-  Enc.bytes enc (client_table_encoding t);
-  Enc.bytes enc svc.Payload.data;
-  let data = Enc.to_string enc in
+(* The snapshot is the client table followed by the service state, each
+   length-prefixed. The cost model charges encoding for the whole snapshot
+   at capture time; the bytes are built only when state transfer, a
+   restart or a page fetch forces them. *)
+let capture t ~table =
+  let svc = t.service.Service.capture () in
+  let data_bytes = 8 + String.length table + svc.Service.data_bytes in
   charge ~cat:Cpu.Encode t
-    (float_of_int (String.length data) *. (cal t).Calibration.byte_touch_cost);
-  { Payload.data; pad = svc.Payload.pad }
+    (float_of_int data_bytes *. (cal t).Calibration.byte_touch_cost);
+  let encode () =
+    let p = Lazy.force svc.Service.payload in
+    let enc = Enc.create ~initial:data_bytes () in
+    Enc.bytes enc table;
+    Enc.bytes enc p.Payload.data;
+    { Payload.data = Enc.to_string enc; pad = p.Payload.pad }
+  in
+  { Service.data_bytes; payload = Lazy.from_fun encode }
+
+let set_stable_snapshot t snapshot =
+  t.stable_snapshot <- snapshot;
+  t.stable_pages <- None
+
+let stable_pages t =
+  match t.stable_pages with
+  | Some pages -> pages
+  | None ->
+    let pages = Merkle.paginate (Lazy.force t.stable_snapshot.Service.payload) in
+    let built = (pages, Merkle.page_digests pages) in
+    t.stable_pages <- Some built;
+    built
 
 let restore_snapshot t (p : Payload.t) =
   let dec = Dec.of_string p.Payload.data in
@@ -810,10 +833,11 @@ and advance t =
 (* --- checkpoints ------------------------------------------------------- *)
 
 and take_checkpoint t seq =
-  let digest = state_digest t in
+  let table = client_table_encoding t in
+  let digest = state_digest t ~table in
   t.service.Service.checkpoint_taken ();
   Hashtbl.replace t.own_checkpoints seq digest;
-  Hashtbl.replace t.checkpoint_snapshots seq (snapshot_payload t);
+  Hashtbl.replace t.checkpoint_snapshots seq (capture t ~table);
   Metrics.incr t.metrics "checkpoint.taken";
   ensure_resend_timer t;
   record_checkpoint_vote t ~seq ~digest ~from:t.id;
@@ -866,7 +890,7 @@ and make_stable t seq digest =
   t.last_stable <- seq;
   t.stable_digest <- digest;
   (match Hashtbl.find_opt t.checkpoint_snapshots seq with
-  | Some snap -> t.stable_snapshot <- snap
+  | Some snap -> set_stable_snapshot t snap
   | None -> ());
   Log.truncate t.log ~new_low:seq;
   let drop_below table = drop_matching table (fun s -> s > seq) in
@@ -917,7 +941,7 @@ and on_get_state t (g : Message.get_state) =
     && g.Message.replica < t.config.Config.n
     && g.Message.replica <> t.id
   then begin
-    let snapshot = t.stable_snapshot in
+    let snapshot = Lazy.force t.stable_snapshot.Service.payload in
     if Payload.size snapshot <= 4 * Merkle.page_size then
       out_send t
         ~dst:t.replicas.(g.Message.replica)
@@ -931,7 +955,7 @@ and on_get_state t (g : Message.get_state) =
     else begin
       (* Hierarchical transfer: ship the page digests; the fetcher asks for
          the pages it lacks. *)
-      let digests = Merkle.page_digests (Merkle.paginate snapshot) in
+      let _, digests = stable_pages t in
       charge ~cat:Cpu.Digest t
         (Calibration.digest_cost (cal t) (Payload.size snapshot) /. 4.0);
       out_send t
@@ -989,7 +1013,10 @@ and on_state_meta t sender (m : Message.state_meta) =
 
 and begin_page_fetch t src seq digest target_pages =
   (* Reuse whatever pages of our current state already match. *)
-  let own = Merkle.paginate (snapshot_payload t) in
+  let own =
+    Merkle.paginate
+      (Lazy.force (capture t ~table:(client_table_encoding t)).Service.payload)
+  in
   let own_digests = Merkle.page_digests own in
   charge ~cat:Cpu.Digest t
     (Calibration.digest_cost (cal t)
@@ -1022,7 +1049,7 @@ and on_get_pages t (g : Message.get_pages) =
     && g.Message.gp_replica < t.config.Config.n
     && g.Message.gp_replica <> t.id
   then begin
-    let pages = Merkle.paginate t.stable_snapshot in
+    let pages, _ = stable_pages t in
     let selected =
       List.filter_map
         (fun i ->
@@ -1099,11 +1126,11 @@ and adopt_state t seq digest snapshot =
 and adopt_state_restore t seq digest snapshot =
   restore_snapshot t snapshot;
   prune_waiting t;
-  let check = state_digest t in
+  let check = state_digest t ~table:(client_table_encoding t) in
   if Fingerprint.equal check digest then begin
     t.last_stable <- seq;
     t.stable_digest <- digest;
-    t.stable_snapshot <- snapshot;
+    set_stable_snapshot t (Service.frozen snapshot);
     t.log <- Log.create ~low:seq ~window:t.config.Config.log_window ();
     t.last_executed <- seq;
     t.last_committed <- seq;
@@ -2197,7 +2224,8 @@ let restart t =
   Timer.cancel t.resend_timer;
   Timer.cancel t.flush_timer;
   Timer.cancel t.state_timer;
-  restore_snapshot t t.stable_snapshot;
+  restore_snapshot t (Lazy.force t.stable_snapshot.Service.payload);
+  t.stable_pages <- None;
   t.log <- Log.create ~low:t.last_stable ~window:t.config.Config.log_window ();
   t.last_executed <- t.last_stable;
   t.last_committed <- t.last_stable;
@@ -2286,7 +2314,8 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
       batch_store = Hashtbl.create 128;
       last_stable = 0;
       stable_digest = Fingerprint.zero;
-      stable_snapshot = Payload.empty;
+      stable_snapshot = Service.frozen Payload.empty;
+      stable_pages = None;
       own_checkpoints = Hashtbl.create 8;
       checkpoint_snapshots = Hashtbl.create 8;
       checkpoint_msgs = Hashtbl.create 8;
@@ -2324,8 +2353,9 @@ let create ~config ~transport ~replicas ~lookup_client ~service ~rng ~dispatcher
   (* Start the status heartbeat. *)
   ensure_resend_timer t;
   (* The initial state (seq 0) counts as a stable checkpoint. *)
-  t.stable_digest <- state_digest t;
-  t.stable_snapshot <- snapshot_payload t;
+  (let table = client_table_encoding t in
+   t.stable_digest <- state_digest t ~table;
+   t.stable_snapshot <- capture t ~table);
   Hashtbl.replace t.stable_certs 0 t.stable_digest;
   Dispatcher.register_default dispatcher (fun ~wire ~prefix_len ~size env ->
       handle_envelope t ~wire ~prefix_len ~size env);

@@ -2,6 +2,8 @@ module Fingerprint = Bft_crypto.Fingerprint
 
 type undo = unit -> unit
 
+type frozen = { data_bytes : int; payload : Payload.t Lazy.t }
+
 type t = {
   name : string;
   execute : client:Types.client_id -> op:Payload.t -> Payload.t * undo;
@@ -11,10 +13,15 @@ type t = {
   modified_since_checkpoint : unit -> int;
   checkpoint_taken : unit -> unit;
   snapshot : unit -> Payload.t;
+  capture : unit -> frozen;
   restore : Payload.t -> unit;
 }
 
 let no_undo () = ()
+
+let frozen p = { data_bytes = String.length p.Payload.data; payload = Lazy.from_val p }
+
+let eager snapshot () = frozen (snapshot ())
 
 (* A null op encodes its read-only flag and requested result size in the
    payload data ("R:4096"), and its argument size in padding; replicas can
@@ -36,6 +43,7 @@ let parse_result_size op =
     | _ -> 0)
 
 let null () =
+  let snapshot () = Payload.empty in
   {
     name = "null";
     execute =
@@ -46,6 +54,7 @@ let null () =
     state_digest = (fun () -> Fingerprint.of_string "null-service");
     modified_since_checkpoint = (fun () -> 0);
     checkpoint_taken = (fun () -> ());
-    snapshot = (fun () -> Payload.empty);
+    snapshot;
+    capture = eager snapshot;
     restore = (fun _ -> ());
   }

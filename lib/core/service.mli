@@ -12,6 +12,14 @@
 
 type undo = unit -> unit
 
+type frozen = {
+  data_bytes : int;  (** [String.length (Lazy.force payload).data] *)
+  payload : Payload.t Lazy.t;
+}
+(** The service state as of one instant. Its encoded length is known at
+    once; the bytes themselves are built only when forced (state transfer,
+    restart), and later writes or undos never change them. *)
+
 type t = {
   name : string;
   execute : client:Types.client_id -> op:Payload.t -> Payload.t * undo;
@@ -28,8 +36,19 @@ type t = {
           BFT's incremental (copy-on-write) checkpoint digests. *)
   checkpoint_taken : unit -> unit;  (** reset the dirty counter *)
   snapshot : unit -> Payload.t;
+  capture : unit -> frozen;
+      (** the state at a checkpoint; [Lazy.force (capture ()).payload]
+          equals [snapshot ()] taken at the same instant. A service with
+          persistent state captures in O(1) and encodes lazily. *)
   restore : Payload.t -> unit;
 }
+
+val frozen : Payload.t -> frozen
+(** Bytes already built, as a [frozen] value. *)
+
+val eager : (unit -> Payload.t) -> unit -> frozen
+(** [eager snapshot] captures by taking the snapshot at once: the
+    implementation for services without a persistent representation. *)
 
 val null : unit -> t
 (** The paper's "simple service": no state; an operation carries an

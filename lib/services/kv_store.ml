@@ -221,8 +221,43 @@ type txn_record = {
   txr_ops : op list;
 }
 
+module Smap = Map.Make (String)
+
+(* AdHash (Bellare–Micciancio, the incremental digest of the paper's
+   checkpoints): the bindings hash to the sum, modulo 2^128, of one
+   fingerprint per binding, kept as two little-endian 64-bit lanes. A write
+   subtracts the old binding's term and adds the new one, so the digest
+   never walks the store and does not depend on the order of writes. *)
+type adhash = { lo : int64; hi : int64 }
+
+let binding_term key value = Fingerprint.of_parts [ key; value ]
+
+let adhash_add a term =
+  let tl = String.get_int64_le term 0 and th = String.get_int64_le term 8 in
+  let lo = Int64.add a.lo tl in
+  let carry = if Int64.unsigned_compare lo tl < 0 then 1L else 0L in
+  { lo; hi = Int64.add (Int64.add a.hi th) carry }
+
+let adhash_sub a term =
+  let tl = String.get_int64_le term 0 and th = String.get_int64_le term 8 in
+  let borrow = if Int64.unsigned_compare a.lo tl < 0 then 1L else 0L in
+  { lo = Int64.sub a.lo tl; hi = Int64.sub (Int64.sub a.hi th) borrow }
+
+(* The bindings as one immutable value: a capture keeps it as it is, and an
+   undo puts the previous one back. [flat_bytes] is the length of the
+   bindings' encoding ([Enc.bytes] key, [Enc.bytes] value, in key order). *)
+type contents = {
+  bindings : string Smap.t;
+  sum : adhash;
+  count : int;
+  flat_bytes : int;
+}
+
+let empty_contents =
+  { bindings = Smap.empty; sum = { lo = 0L; hi = 0L }; count = 0; flat_bytes = 0 }
+
 type store = {
-  table : (string, string) Hashtbl.t;
+  mutable contents : contents;
   mutable dirty : int;
   locks : (string, string) Hashtbl.t;  (* key -> holding transaction *)
   prepared : (string, txn_record) Hashtbl.t;  (* txn -> prepared record *)
@@ -239,13 +274,37 @@ let decided_cap = 4096
 
 let create_store () =
   {
-    table = Hashtbl.create 256;
+    contents = empty_contents;
     dirty = 0;
     locks = Hashtbl.create 16;
     prepared = Hashtbl.create 16;
     decided = Hashtbl.create 16;
     decided_log = [];
     decided_count = 0;
+  }
+
+let find store key = Smap.find_opt key store.contents.bindings
+
+let with_binding c key value =
+  let sum, count, flat_bytes =
+    match Smap.find_opt key c.bindings with
+    | Some old ->
+      (adhash_sub c.sum (binding_term key old), c.count, c.flat_bytes - String.length old)
+    | None -> (c.sum, c.count + 1, c.flat_bytes + 8 + String.length key)
+  in
+  {
+    bindings = Smap.add key value c.bindings;
+    sum = adhash_add sum (binding_term key value);
+    count;
+    flat_bytes = flat_bytes + String.length value;
+  }
+
+let without_binding c key old =
+  {
+    bindings = Smap.remove key c.bindings;
+    sum = adhash_sub c.sum (binding_term key old);
+    count = c.count - 1;
+    flat_bytes = c.flat_bytes - 8 - String.length key - String.length old;
   }
 
 let no_undo () = ()
@@ -291,26 +350,30 @@ let write_key = function
   | Put (k, _) | Delete k | Cas { key = k; _ } -> Some k
   | _ -> None
 
-(* Unconditional application of a prepare-validated write (the key has been
-   locked since validation, so a CAS applies its update directly). *)
-let apply_write store op =
-  match op with
-  | Put (key, value) | Cas { key; update = value; _ } ->
-    let previous = Hashtbl.find_opt store.table key in
-    Hashtbl.replace store.table key value;
-    store.dirty <- store.dirty + String.length key + String.length value;
-    fun () ->
-      (match previous with
-      | Some old -> Hashtbl.replace store.table key old
-      | None -> Hashtbl.remove store.table key)
-  | Delete key -> (
-    match Hashtbl.find_opt store.table key with
-    | None -> no_undo
-    | Some previous ->
-      Hashtbl.remove store.table key;
-      store.dirty <- store.dirty + String.length key;
-      fun () -> Hashtbl.replace store.table key previous)
-  | _ -> no_undo
+(* Unconditional application of prepare-validated writes (the keys have
+   been locked since validation, so a CAS applies its update directly). The
+   undo puts the previous bindings back whole: undos run newest-first, so
+   that is exact. *)
+let apply_writes store ops =
+  let previous = store.contents in
+  List.iter
+    (fun op ->
+      match op with
+      | Put (key, value) | Cas { key; update = value; _ } ->
+        store.dirty <- store.dirty + String.length key + String.length value;
+        store.contents <- with_binding store.contents key value
+      | Delete key -> (
+        (* Only an actual mutation dirties the store: deleting a missing
+           key must not inflate [modified_since_checkpoint] (it would
+           manufacture checkpoint pressure out of no-ops). *)
+        match find store key with
+        | None -> ()
+        | Some old ->
+          store.dirty <- store.dirty + String.length key;
+          store.contents <- without_binding store.contents key old)
+      | _ -> ())
+    ops;
+  fun () -> store.contents <- previous
 
 let release_locks store txn =
   let released =
@@ -342,7 +405,7 @@ let prepare store ~txn ~decision ~participants ~ops =
               (match Hashtbl.find_opt store.locks key with
               | Some holder -> String.equal holder txn
               | None -> true)
-              && Hashtbl.find_opt store.table key = expected
+              && find store key = expected
             | _ -> false (* only plain writes may ride in a transaction *))
           ops
       in
@@ -380,14 +443,14 @@ let commit store txn =
     | None -> (Error "unknown", no_undo)
     | Some record ->
       let released = release_locks store txn in
-      let undos = List.map (apply_write store) record.txr_ops in
+      let undo_writes = apply_writes store record.txr_ops in
       Hashtbl.remove store.prepared txn;
       let undo_decision = record_decision store txn true in
       store.dirty <- store.dirty + String.length txn;
       let undo () =
         undo_decision ();
         Hashtbl.replace store.prepared txn record;
-        List.iter (fun u -> u ()) (List.rev undos);
+        undo_writes ();
         List.iter (fun k -> Hashtbl.replace store.locks k txn) released
       in
       (Stored, undo))
@@ -420,57 +483,24 @@ let slot_locked store ~slot ~slots =
     store.locks false
 
 let slot_bindings store ~slot ~slots =
-  Hashtbl.fold
-    (fun k v acc ->
-      if Keyhash.slot_of_key ~slots k = slot then (k, v) :: acc else acc)
-    store.table []
-  |> List.sort compare
+  Smap.fold
+    (fun k v acc -> if Keyhash.slot_of_key ~slots k = slot then (k, v) :: acc else acc)
+    store.contents.bindings []
+  |> List.rev
 
 let execute store op =
   match op with
-  | Get key -> (Value (Hashtbl.find_opt store.table key), no_undo)
-  | Put (key, value) ->
+  | Get key -> (Value (find store key), no_undo)
+  | Put (key, _) ->
     if Hashtbl.mem store.locks key then (locked_error store key, no_undo)
-    else begin
-      let previous = Hashtbl.find_opt store.table key in
-      Hashtbl.replace store.table key value;
-      store.dirty <- store.dirty + String.length key + String.length value;
-      let undo () =
-        match previous with
-        | Some old -> Hashtbl.replace store.table key old
-        | None -> Hashtbl.remove store.table key
-      in
-      (Stored, undo)
-    end
+    else (Stored, apply_writes store [ op ])
   | Delete key ->
     if Hashtbl.mem store.locks key then (locked_error store key, no_undo)
-    else begin
-      (* Only an actual mutation dirties the store: deleting a missing key
-         must not inflate [modified_since_checkpoint] (it would manufacture
-         checkpoint pressure out of no-ops). *)
-      match Hashtbl.find_opt store.table key with
-      | None -> (Stored, no_undo)
-      | Some previous ->
-        Hashtbl.remove store.table key;
-        store.dirty <- store.dirty + String.length key;
-        (Stored, fun () -> Hashtbl.replace store.table key previous)
-    end
-  | Cas { key; expected; update } ->
+    else (Stored, apply_writes store [ op ])
+  | Cas { key; expected; _ } ->
     if Hashtbl.mem store.locks key then (locked_error store key, no_undo)
-    else begin
-      let current = Hashtbl.find_opt store.table key in
-      if current = expected then begin
-        Hashtbl.replace store.table key update;
-        store.dirty <- store.dirty + String.length key + String.length update;
-        let undo () =
-          match current with
-          | Some old -> Hashtbl.replace store.table key old
-          | None -> Hashtbl.remove store.table key
-        in
-        (Cas_result true, undo)
-      end
-      else (Cas_result false, no_undo)
-    end
+    else if find store key = expected then (Cas_result true, apply_writes store [ op ])
+    else (Cas_result false, no_undo)
   | Prepare { txn; decision; participants; ops } ->
     prepare store ~txn ~decision ~participants ~ops
   | Commit txn -> commit store txn
@@ -499,27 +529,15 @@ let execute store op =
     else if
       List.exists (fun (k, _) -> Keyhash.slot_of_key ~slots k <> slot) bindings
     then (Error "binding outside slot", no_undo)
-    else begin
-      let undos = List.map (fun (k, v) -> apply_write store (Put (k, v))) bindings in
-      (Stored, fun () -> List.iter (fun u -> u ()) (List.rev undos))
-    end
+    else (Stored, apply_writes store (List.map (fun (k, v) -> Put (k, v)) bindings))
   | Drop_slot { slot; slots } ->
     if slots <= 0 || slot < 0 || slot >= slots then (Error "bad slot", no_undo)
-    else begin
-      let dropped = slot_bindings store ~slot ~slots in
-      List.iter
-        (fun (k, _) ->
-          Hashtbl.remove store.table k;
-          store.dirty <- store.dirty + String.length k)
-        dropped;
+    else
       ( Stored,
-        fun () -> List.iter (fun (k, v) -> Hashtbl.replace store.table k v) dropped )
-    end
+        apply_writes store
+          (List.map (fun (k, _) -> Delete k) (slot_bindings store ~slot ~slots)) )
 
 (* --- digest / snapshot encoding --------------------------------------- *)
-
-let sorted_bindings store =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) store.table [] |> List.sort compare
 
 let sorted_locks store =
   Hashtbl.fold (fun k t acc -> (k, t) :: acc) store.locks [] |> List.sort compare
@@ -533,53 +551,76 @@ let txn_state_empty store =
   && Hashtbl.length store.prepared = 0
   && store.decided_count = 0
 
+let encode_binding enc k v =
+  Enc.bytes enc k;
+  Enc.bytes enc v
+
+(* The transaction sections (locks, prepared records, decisions): small,
+   so they are encoded whole for every digest and capture. *)
+let encode_txn_sections store =
+  let enc = Enc.create () in
+  Enc.list enc (fun enc (k, t) -> encode_binding enc k t) (sorted_locks store);
+  Enc.list enc
+    (fun enc (txn, r) ->
+      Enc.bytes enc txn;
+      Enc.u16 enc r.txr_decision;
+      Enc.list enc Enc.u16 r.txr_participants;
+      Enc.list enc encode_op r.txr_ops)
+    (sorted_prepared store);
+  Enc.list enc
+    (fun enc txn ->
+      Enc.bytes enc txn;
+      Enc.bool enc (Hashtbl.find store.decided txn))
+    store.decided_log;
+  Enc.to_string enc
+
+(* The digest binds the AdHash sum, the binding count and the transaction
+   sections; it costs the same at 1k keys as at 1M. *)
+let state_digest store =
+  let c = store.contents in
+  let header = Bytes.create 24 in
+  Bytes.set_int64_le header 0 c.sum.lo;
+  Bytes.set_int64_le header 8 c.sum.hi;
+  Bytes.set_int64_le header 16 (Int64.of_int c.count);
+  Fingerprint.of_parts [ Bytes.unsafe_to_string header; encode_txn_sections store ]
+
 (* Sectioned encodings are flagged by a leading length no legacy key can
    have (a 4 GiB key); a store that never touched the transaction layer
    encodes exactly as it always did, byte for byte, which is what keeps
-   checkpoint digest and snapshot costs — and with them the golden bench
-   surface — untouched while the machinery is unused. *)
+   snapshot sizes and costs — and with them the golden bench surface —
+   untouched while the machinery is unused. *)
 let sectioned_marker = 0xFFFFFFFF
 
-let encode_store store =
-  let enc = Enc.create () in
-  if txn_state_empty store then
-    List.iter
-      (fun (k, v) ->
-        Enc.bytes enc k;
-        Enc.bytes enc v)
-      (sorted_bindings store)
-  else begin
-    Enc.u32 enc sectioned_marker;
-    Enc.list enc
-      (fun enc (k, v) ->
-        Enc.bytes enc k;
-        Enc.bytes enc v)
-      (sorted_bindings store);
-    Enc.list enc
-      (fun enc (k, t) ->
-        Enc.bytes enc k;
-        Enc.bytes enc t)
-      (sorted_locks store);
-    Enc.list enc
-      (fun enc (txn, r) ->
-        Enc.bytes enc txn;
-        Enc.u16 enc r.txr_decision;
-        Enc.list enc Enc.u16 r.txr_participants;
-        Enc.list enc encode_op r.txr_ops)
-      (sorted_prepared store);
-    Enc.list enc
-      (fun enc txn ->
-        Enc.bytes enc txn;
-        Enc.bool enc (Hashtbl.find store.decided txn))
-      store.decided_log
-  end;
-  Enc.to_string enc
+(* O(1): the bindings are immutable and the length is kept up to date, so
+   only the (small) transaction sections are encoded now; the bindings are
+   encoded when the bytes are forced. *)
+let capture store =
+  let c = store.contents in
+  let sections = if txn_state_empty store then None else Some (encode_txn_sections store) in
+  let data_bytes =
+    match sections with
+    | None -> c.flat_bytes
+    | Some s -> 8 + c.flat_bytes + String.length s
+  in
+  let encode () =
+    let enc = Enc.create ~initial:data_bytes () in
+    (match sections with
+    | None -> Smap.iter (encode_binding enc) c.bindings
+    | Some s ->
+      Enc.u32 enc sectioned_marker;
+      Enc.u32 enc c.count;
+      Smap.iter (encode_binding enc) c.bindings;
+      Enc.raw enc s);
+    Payload.of_string (Enc.to_string enc)
+  in
+  { Service.data_bytes; payload = Lazy.from_fun encode }
 
 let is_sectioned data =
   String.length data >= 4 && String.get_int32_le data 0 = 0xFFFFFFFFl
 
+(* Nothing in the payload is trusted beyond the bindings themselves: the
+   AdHash sum, count and length are recomputed from what was decoded. *)
 let restore_store store data =
-  Hashtbl.reset store.table;
   Hashtbl.reset store.locks;
   Hashtbl.reset store.prepared;
   Hashtbl.reset store.decided;
@@ -587,53 +628,60 @@ let restore_store store data =
   store.decided_count <- 0;
   store.dirty <- 0;
   let dec = Dec.of_string data in
-  if is_sectioned data then begin
-    ignore (Dec.u32 dec);
-    let pairs =
-      Dec.list dec (fun dec ->
-          let k = Dec.bytes dec in
-          let v = Dec.bytes dec in
-          (k, v))
-    in
-    List.iter (fun (k, v) -> Hashtbl.replace store.table k v) pairs;
-    let locks =
-      Dec.list dec (fun dec ->
-          let k = Dec.bytes dec in
-          let t = Dec.bytes dec in
-          (k, t))
-    in
-    List.iter (fun (k, t) -> Hashtbl.replace store.locks k t) locks;
-    let prepared =
-      Dec.list dec (fun dec ->
-          let txn = Dec.bytes dec in
-          let txr_decision = Dec.u16 dec in
-          let txr_participants = Dec.list dec Dec.u16 in
-          let txr_ops = Dec.list dec decode_op in
-          (txn, { txr_decision; txr_participants; txr_ops }))
-    in
-    List.iter (fun (t, r) -> Hashtbl.replace store.prepared t r) prepared;
-    let decided =
-      Dec.list dec (fun dec ->
-          let txn = Dec.bytes dec in
-          let committed = Dec.bool dec in
-          (txn, committed))
-    in
-    List.iter (fun (t, c) -> Hashtbl.replace store.decided t c) decided;
-    store.decided_log <- List.map fst decided;
-    store.decided_count <- List.length decided
-  end
-  else
-    while not (Dec.at_end dec) do
-      let k = Dec.bytes dec in
-      let v = Dec.bytes dec in
-      Hashtbl.replace store.table k v
-    done
+  let decode_binding dec =
+    let k = Dec.bytes dec in
+    let v = Dec.bytes dec in
+    (k, v)
+  in
+  let bindings =
+    if is_sectioned data then begin
+      ignore (Dec.u32 dec);
+      let pairs = Dec.list dec decode_binding in
+      let locks = Dec.list dec decode_binding in
+      List.iter (fun (k, t) -> Hashtbl.replace store.locks k t) locks;
+      let prepared =
+        Dec.list dec (fun dec ->
+            let txn = Dec.bytes dec in
+            let txr_decision = Dec.u16 dec in
+            let txr_participants = Dec.list dec Dec.u16 in
+            let txr_ops = Dec.list dec decode_op in
+            (txn, { txr_decision; txr_participants; txr_ops }))
+      in
+      List.iter (fun (t, r) -> Hashtbl.replace store.prepared t r) prepared;
+      let decided =
+        Dec.list dec (fun dec ->
+            let txn = Dec.bytes dec in
+            let committed = Dec.bool dec in
+            (txn, committed))
+      in
+      List.iter (fun (t, c) -> Hashtbl.replace store.decided t c) decided;
+      store.decided_log <- List.map fst decided;
+      store.decided_count <- List.length decided;
+      List.fold_left (fun m (k, v) -> Smap.add k v m) Smap.empty pairs
+    end
+    else begin
+      let bindings = ref Smap.empty in
+      while not (Dec.at_end dec) do
+        let k, v = decode_binding dec in
+        bindings := Smap.add k v !bindings
+      done;
+      !bindings
+    end
+  in
+  let sum = ref empty_contents.sum and flat_bytes = ref 0 in
+  Smap.iter
+    (fun k v ->
+      sum := adhash_add !sum (binding_term k v);
+      flat_bytes := !flat_bytes + 8 + String.length k + String.length v)
+    bindings;
+  store.contents <-
+    { bindings; sum = !sum; count = Smap.cardinal bindings; flat_bytes = !flat_bytes }
 
 (* --- auditing hooks (tests and chaos campaigns) ------------------------ *)
 
-let store_bindings store = sorted_bindings store
+let store_bindings store = Smap.bindings store.contents.bindings
 
-let store_find store key = Hashtbl.find_opt store.table key
+let store_find store key = find store key
 
 let store_locks store = sorted_locks store
 
@@ -659,10 +707,11 @@ let service_of_store store =
         | Some op -> is_read_only_op op
         | None -> false);
     execute_cost = (fun op -> 1e-6 +. (float_of_int (Payload.size op) *. 2e-9));
-    state_digest = (fun () -> Fingerprint.of_string (encode_store store));
+    state_digest = (fun () -> state_digest store);
     modified_since_checkpoint = (fun () -> store.dirty);
     checkpoint_taken = (fun () -> store.dirty <- 0);
-    snapshot = (fun () -> Payload.of_string (encode_store store));
+    snapshot = (fun () -> Lazy.force (capture store).Service.payload);
+    capture = (fun () -> capture store);
     restore = (fun p -> restore_store store p.Payload.data);
   }
 
@@ -674,10 +723,7 @@ let size (svc : Service.t) =
   let dec = Dec.of_string data in
   if is_sectioned data then begin
     ignore (Dec.u32 dec);
-    List.length
-      (Dec.list dec (fun dec ->
-           ignore (Dec.bytes dec);
-           ignore (Dec.bytes dec)))
+    Dec.u32 dec
   end
   else begin
     let count = ref 0 in
