@@ -50,10 +50,12 @@ let summarize all =
 
 let bechamel_benches () =
   let open Bechamel in
-  let md5_4k =
-    let buf = String.make 4096 'x' in
-    Test.make ~name:"md5-4KB" (Staged.stage (fun () -> Bft_crypto.Md5.digest buf))
+  let md5 name bytes =
+    let buf = String.make bytes 'x' in
+    Test.make ~name (Staged.stage (fun () -> Bft_crypto.Md5.digest buf))
   in
+  (* 64 B is the per-message case: a request or a batch of digests. *)
+  let md5_64 = md5 "md5-64B" 64 and md5_4k = md5 "md5-4KB" 4096 in
   let mac_tag =
     Test.make ~name:"umac-style-tag"
       (Staged.stage (fun () ->
@@ -110,7 +112,7 @@ let bechamel_benches () =
            Bft_core.Cluster.run ~until:1.0 cluster))
   in
   let tests =
-    [ md5_4k; mac_tag; codec_roundtrip; event_queue; protocol_round ]
+    [ md5_64; md5_4k; mac_tag; codec_roundtrip; event_queue; protocol_round ]
   in
   banner "bechamel: primitive costs (host machine, not simulated time)";
   let instances = [ Toolkit.Instance.monotonic_clock ] in

@@ -467,7 +467,7 @@ let pad_string pad =
     Hashtbl.replace pad_strings pad s;
     s
 
-let request_digest_uncached (r : request) =
+let request_digest (r : request) =
   let enc = digest_enc in
   Enc.clear enc;
   (* full_replies and replier are delivery hints, not part of the operation
@@ -479,38 +479,9 @@ let request_digest_uncached (r : request) =
   (* Byte-identical to
      [Fingerprint.of_parts [body; Printf.sprintf "pad:%d" pad]]. *)
   let b = digest_builder in
-  Fingerprint.reset_builder b;
   Fingerprint.add_part_bytes b (Enc.unsafe_bytes enc) ~off:0 ~len:(Enc.length enc);
   Fingerprint.add_part b (pad_string r.op.Payload.pad);
   Fingerprint.finish b
-
-(* Requests are digested at every protocol step they appear in (batching,
-   ordering, execution, retransmission audit), so memoize per physical
-   record: request values are immutable and each decoded message yields one
-   record that flows through the whole pipeline. Keyed by identity — the
-   cache is an optimization only, structural duplicates just recompute. *)
-module Req_tbl = Hashtbl.Make (struct
-  type t = request
-
-  let equal = ( == )
-
-  let hash = Hashtbl.hash
-end)
-
-let request_digest_cache : Fingerprint.t Req_tbl.t = Req_tbl.create 1024
-
-let request_digest (r : request) =
-  match Req_tbl.find_opt request_digest_cache r with
-  | Some d -> d
-  | None ->
-    (* Entries are keyed by identity and can never be revalidated once the
-       request record dies, so cap the table: a reset only costs
-       recomputation. *)
-    if Req_tbl.length request_digest_cache > 8192 then
-      Req_tbl.reset request_digest_cache;
-    let d = request_digest_uncached r in
-    Req_tbl.add request_digest_cache r d;
-    d
 
 let entry_digest = function
   | Full r -> request_digest r
@@ -523,7 +494,6 @@ let batch_digest entries =
   (* Streaming form of [Fingerprint.of_parts (List.map entry_digest ...)];
      needs its own builder because [entry_digest] uses [digest_builder]. *)
   let b = batch_builder in
-  Fingerprint.reset_builder b;
   List.iter (fun e -> Fingerprint.add_part b (entry_digest e)) entries;
   Fingerprint.finish b
 

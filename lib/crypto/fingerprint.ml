@@ -4,52 +4,52 @@ let size = 16
 
 let of_string s =
   Tally.note_digest (String.length s);
-  Md5.digest s
-
-(* One scratch context per entry point; none of these nest. *)
-let scratch = Md5.init ()
+  Digest.string s
 
 let of_substring s ~off ~len =
   Tally.note_digest len;
-  Md5.reset scratch;
-  Md5.update_sub scratch s off len;
-  Md5.finalize scratch
+  Digest.substring s off len
 
 let of_bytes b ~off ~len =
   Tally.note_digest len;
-  Md5.reset scratch;
-  Md5.update_bytes scratch b off len;
-  Md5.finalize scratch
+  Digest.subbytes b off len
 
 (* Multi-part digests frame every part with a little-endian 64-bit length,
-   so part boundaries are unambiguous. [builder] exposes the same framing
-   incrementally so hot paths can feed scratch buffers without first
-   materialising part strings. *)
-type builder = { ctx : Md5.ctx; len8 : Bytes.t; mutable fed : int }
+   so part boundaries are unambiguous. [builder] encodes the framed parts
+   into a scratch encoder and hashes it once in [finish]. *)
+module Enc = Bft_util.Codec.Enc
 
-let create_builder () = { ctx = Md5.init (); len8 = Bytes.create 8; fed = 0 }
+type builder = { mutable enc : Enc.t; mutable fed : int }
+
+let initial_size = 256
+
+(* A scratch encoder grown past this by one large part is dropped after
+   [finish] rather than kept for the life of the builder. *)
+let keep_limit = 65536
+
+let create_builder () = { enc = Enc.create ~initial:initial_size (); fed = 0 }
 
 let reset_builder b =
-  Md5.reset b.ctx;
+  Enc.clear b.enc;
   b.fed <- 0
 
-let add_len b len =
-  Bytes.set_int64_le b.len8 0 (Int64.of_int len);
-  Md5.update_bytes b.ctx b.len8 0 8
-
 let add_part b part =
-  add_len b (String.length part);
-  b.fed <- b.fed + String.length part;
-  Md5.update b.ctx part
+  Enc.int b.enc (String.length part);
+  Enc.raw b.enc part;
+  b.fed <- b.fed + String.length part
 
-let add_part_bytes b buf ~off ~len =
-  add_len b len;
-  b.fed <- b.fed + len;
-  Md5.update_bytes b.ctx buf off len
+let add_part_bytes b src ~off ~len =
+  Enc.int b.enc len;
+  Enc.raw_bytes b.enc src ~off ~len;
+  b.fed <- b.fed + len
 
 let finish b =
   Tally.note_digest b.fed;
-  Md5.finalize b.ctx
+  let d = Digest.subbytes (Enc.unsafe_bytes b.enc) 0 (Enc.length b.enc) in
+  if Bytes.length (Enc.unsafe_bytes b.enc) > keep_limit then
+    b.enc <- Enc.create ~initial:initial_size ();
+  reset_builder b;
+  d
 
 let parts_builder = create_builder ()
 

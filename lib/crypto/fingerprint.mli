@@ -18,8 +18,9 @@ val of_parts : string list -> t
 (** Digest of length-prefixed parts, so part boundaries are unambiguous. *)
 
 (** Incremental form of [of_parts]: the same length-prefix framing, fed
-    part by part. Builders are reusable scratch — [reset_builder], add
-    parts, [finish]. *)
+    part by part into a scratch buffer that is hashed once by [finish].
+    Builders are reusable — add parts, [finish], and the builder is empty
+    again; [reset_builder] discards parts added so far. *)
 type builder
 
 val create_builder : unit -> builder
@@ -29,6 +30,7 @@ val reset_builder : builder -> unit
 val add_part : builder -> string -> unit
 
 val add_part_bytes : builder -> Bytes.t -> off:int -> len:int -> unit
+(** Raises [Invalid_argument] if the slice is out of range. *)
 
 val finish : builder -> t
 

@@ -3,8 +3,8 @@ type tag = string
 let tag_size = 8
 
 (* MAC keys are long-lived session keys, so the HMAC pads are cached per
-   key and the nonce/context scratch is reused. The tag bytes produced are
-   identical to [Hmac.mac ~key (nonce_le ^ msg)] truncated to [tag_size]. *)
+   key. The tag bytes produced are identical to
+   [Hmac.mac ~key (nonce_le ^ msg)] truncated to [tag_size]. *)
 let keyed_cache : (string, Hmac.keyed) Hashtbl.t = Hashtbl.create 64
 
 let keyed key =
@@ -17,23 +17,33 @@ let keyed key =
     Hashtbl.replace keyed_cache key k;
     k
 
-let nonce_scratch = Bytes.create 8
+(* The inner hash input ipad | nonce | msg and the outer one opad | inner
+   are laid out in one scratch encoder, so each takes a single digest call. *)
+module Enc = Bft_util.Codec.Enc
 
-let ctx_scratch = Md5.init ()
+let scratch = ref (Enc.create ~initial:256 ())
+
+(* A scratch encoder grown past this by one large message is dropped after
+   the tag is computed. *)
+let keep_limit = 65536
+
+let digest_scratch enc = Md5.digest_bytes (Enc.unsafe_bytes enc) ~off:0 ~len:(Enc.length enc)
 
 let compute_tag ~key ~nonce msg =
   let k = keyed key in
-  Bytes.set_int64_le nonce_scratch 0 nonce;
-  let ctx = ctx_scratch in
-  Md5.reset ctx;
-  Md5.update ctx k.Hmac.ipad;
-  Md5.update_bytes ctx nonce_scratch 0 8;
-  Md5.update ctx msg;
-  let inner = Md5.finalize ctx in
-  Md5.reset ctx;
-  Md5.update ctx k.Hmac.opad;
-  Md5.update ctx inner;
-  String.sub (Md5.finalize ctx) 0 tag_size
+  let enc = !scratch in
+  Enc.clear enc;
+  Enc.raw enc k.Hmac.ipad;
+  Enc.u64 enc nonce;
+  Enc.raw enc msg;
+  let inner = digest_scratch enc in
+  Enc.clear enc;
+  Enc.raw enc k.Hmac.opad;
+  Enc.raw enc inner;
+  let outer = digest_scratch enc in
+  if Bytes.length (Enc.unsafe_bytes enc) > keep_limit then
+    scratch := Enc.create ~initial:256 ();
+  String.sub outer 0 tag_size
 
 let compute ~key ~nonce msg =
   Tally.note_mac_gen (String.length msg);

@@ -1,35 +1,18 @@
-(** MD5 message digest, implemented from RFC 1321.
+(** MD5 message digest (RFC 1321).
 
     The BFT library of the paper computes MD5 digests of requests and
-    replies; this is a from-scratch implementation validated against the
-    RFC 1321 test vectors in the test suite. *)
-
-type ctx
-
-val init : unit -> ctx
-
-val reset : ctx -> unit
-(** Return a context to its initial state so it can be reused; hot paths
-    keep one scratch context instead of allocating per digest. *)
-
-val update : ctx -> string -> unit
-
-val update_sub : ctx -> string -> int -> int -> unit
-(** [update_sub ctx s off len] feeds a substring without copying it out. *)
-
-val update_bytes : ctx -> Bytes.t -> int -> int -> unit
-(** [update_bytes ctx b off len] feeds a byte-array slice without copying
-    it into an intermediate string. *)
-
-val finalize : ctx -> string
-(** 16-byte binary digest. The context must not be reused afterwards
-    unless [reset]. *)
+    replies. This is the OCaml runtime's MD5 ([Stdlib.Digest]), checked
+    against the RFC 1321 test vectors in the test suite. *)
 
 val digest : string -> string
-(** One-shot 16-byte binary digest. *)
+(** 16-byte binary digest. *)
+
+val digest_bytes : Bytes.t -> off:int -> len:int -> string
+(** Digest of a byte-array slice (e.g. a scratch buffer), without copying
+    it out. Raises [Invalid_argument] if the slice is out of range. *)
 
 val hex : string -> string
-(** One-shot digest rendered as 32 lowercase hex characters. *)
+(** Digest rendered as 32 lowercase hex characters. *)
 
 val to_hex : string -> string
 (** Render an arbitrary binary string as lowercase hex. *)

@@ -63,6 +63,12 @@ module Enc = struct
     Bytes.blit_string s 0 t.buf t.len n;
     t.len <- t.len + n
 
+  let raw_bytes t b ~off ~len =
+    if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Enc.raw_bytes";
+    reserve t len;
+    Bytes.blit b off t.buf t.len len;
+    t.len <- t.len + len
+
   let bytes t s =
     u32 t (String.length s);
     raw t s

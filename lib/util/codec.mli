@@ -32,6 +32,9 @@ module Enc : sig
   val raw : t -> string -> unit
   (** Raw bytes, no length prefix. *)
 
+  val raw_bytes : t -> Bytes.t -> off:int -> len:int -> unit
+  (** Raw bytes of a byte-array slice, no length prefix. *)
+
   val bool : t -> bool -> unit
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
