@@ -96,6 +96,17 @@ let bechamel_benches () =
            done;
            Bft_sim.Engine.run e))
   in
+  (* A client retry timer is armed per request and almost always cancelled
+     by the reply; this is its unit cost with a realistically full queue. *)
+  let timer_start_cancel =
+    let e = Bft_sim.Engine.create () in
+    for i = 1 to 2000 do
+      Bft_sim.Engine.schedule e ~delay:(float_of_int i /. 1000.0) (fun () -> ())
+    done;
+    Test.make ~name:"timer-start-cancel"
+      (Staged.stage (fun () ->
+           Bft_sim.Timer.cancel (Bft_sim.Timer.start e ~delay:0.15 (fun () -> ()))))
+  in
   let protocol_round =
     Test.make ~name:"protocol-one-op"
       (Staged.stage (fun () ->
@@ -112,7 +123,15 @@ let bechamel_benches () =
            Bft_core.Cluster.run ~until:1.0 cluster))
   in
   let tests =
-    [ md5_64; md5_4k; mac_tag; codec_roundtrip; event_queue; protocol_round ]
+    [
+      md5_64;
+      md5_4k;
+      mac_tag;
+      codec_roundtrip;
+      event_queue;
+      timer_start_cancel;
+      protocol_round;
+    ]
   in
   banner "bechamel: primitive costs (host machine, not simulated time)";
   let instances = [ Toolkit.Instance.monotonic_clock ] in

@@ -21,13 +21,19 @@ type slot = {
   mutable undos : Service.undo list;
 }
 
+(* A ring of L = [window] slots: seq s lives at index [s mod L]. The window
+   (low, low + L] holds L consecutive seqs, so each index carries at most
+   one live slot, and [truncate] clears every slot at or below the new low
+   watermark, so a stored slot is always the one for its in-window seq. *)
 type t = {
   mutable low : seqno;
   window : int;
-  slots : (seqno, slot) Hashtbl.t;
+  slots : slot option array;
+  mutable awaiting : int;  (* live slots whose [missing_bodies] is non-empty *)
 }
 
-let create ~low ~window () = { low; window; slots = Hashtbl.create 64 }
+let create ~low ~window () =
+  { low; window; slots = Array.make window None; awaiting = 0 }
 
 let low_watermark t = t.low
 
@@ -35,7 +41,7 @@ let high_watermark t = t.low + t.window
 
 let in_window t seq = seq > t.low && seq <= t.low + t.window
 
-let find t seq = Hashtbl.find_opt t.slots seq
+let find t seq = if in_window t seq then t.slots.(seq mod t.window) else None
 
 let new_slot seq =
   {
@@ -59,30 +65,45 @@ let get t seq =
   if not (in_window t seq) then
     invalid_arg (Printf.sprintf "Log.get: seq %d outside (%d, %d]" seq t.low
                    (t.low + t.window));
-  match Hashtbl.find_opt t.slots seq with
+  match t.slots.(seq mod t.window) with
   | Some slot -> slot
   | None ->
     let slot = new_slot seq in
-    Hashtbl.replace t.slots seq slot;
+    t.slots.(seq mod t.window) <- Some slot;
     slot
 
 let truncate t ~new_low =
   if new_low > t.low then begin
-    (* Collect the doomed keys, then delete in place — no copy of the
-       whole slot table per checkpoint. Keys are unique ([replace]-only
-       table), so remove-while-not-iterating is safe. *)
-    let doomed =
-      Hashtbl.fold
-        (fun seq _ acc -> if seq <= new_low then seq :: acc else acc)
-        t.slots []
-    in
-    List.iter (Hashtbl.remove t.slots) doomed;
+    for seq = t.low + 1 to Stdlib.min new_low (t.low + t.window) do
+      let i = seq mod t.window in
+      (match t.slots.(i) with
+      | Some { missing_bodies = _ :: _; _ } -> t.awaiting <- t.awaiting - 1
+      | _ -> ());
+      t.slots.(i) <- None
+    done;
     t.low <- new_low
   end
 
 let iter t f =
-  let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.slots [] in
-  List.iter (fun seq -> f (Hashtbl.find t.slots seq)) (List.sort compare seqs)
+  for seq = t.low + 1 to t.low + t.window do
+    match find t seq with Some slot -> f slot | None -> ()
+  done
+
+let set_missing t slot bodies =
+  (match find t slot.seq with
+  | Some s when s == slot ->
+    (match (slot.missing_bodies, bodies) with
+    | [], _ :: _ -> t.awaiting <- t.awaiting + 1
+    | _ :: _, [] -> t.awaiting <- t.awaiting - 1
+    | _ -> ())
+  | _ -> ());
+  slot.missing_bodies <- bodies
+
+let awaiting t = t.awaiting
+
+let iter_awaiting t f =
+  if t.awaiting > 0 then
+    iter t (fun slot -> if slot.missing_bodies <> [] then f slot)
 
 (* A replica may re-send a prepare for the same slot in a later view; the
    latest view wins so certificate counting stays per-view. *)

@@ -4,7 +4,9 @@
 
     The low watermark [h] is the sequence number of the last stable
     checkpoint; slots are accepted in [(h, h + L]]. Advancing the stable
-    checkpoint truncates everything at or below it. *)
+    checkpoint truncates everything at or below it. The log is a ring of
+    [L] slots indexed by [seq mod L], so [find] and [get] are array reads
+    and [truncate] clears only the range it discards. *)
 
 open Types
 
@@ -18,7 +20,9 @@ type slot = {
       (** who proposed the accepted pre-prepare (-1 if none yet); its
           prepare, if any, is excluded from the certificate count *)
   mutable missing_bodies : Fingerprint.t list;
-      (** summaries in the pre-prepare whose request bodies we still lack *)
+      (** summaries in the pre-prepare whose request bodies we still lack;
+          assign it with {!set_missing}, which keeps the log's count of
+          awaiting slots *)
   prepares : (replica_id, view * Fingerprint.t) Hashtbl.t;
   commits : (replica_id, view * Fingerprint.t) Hashtbl.t;
   mutable prepared_at : view option;  (** sticky: highest view prepared in *)
@@ -50,7 +54,20 @@ val truncate : t -> new_low:seqno -> unit
 (** Advance the low watermark, discarding slots at or below it. *)
 
 val iter : t -> (slot -> unit) -> unit
-(** All live slots in ascending sequence order. *)
+(** All live slots in ascending sequence order, walking [(h, h + L]] for
+    the [h] at the call. Each seq is looked up when the walk reaches it:
+    a slot that [f] creates above the current seq is visited, and one that
+    [f] truncates before the walk reaches it is not. *)
+
+val set_missing : t -> slot -> Fingerprint.t list -> unit
+(** Set [slot.missing_bodies] and keep {!awaiting} in step. *)
+
+val awaiting : t -> int
+(** Live slots whose pre-prepare still lacks request bodies. *)
+
+val iter_awaiting : t -> (slot -> unit) -> unit
+(** [iter] restricted to awaiting slots; does no scan when there are
+    none. *)
 
 val add_prepare : slot -> replica_id -> view -> Fingerprint.t -> unit
 (** Latest (view, digest) per replica wins. *)

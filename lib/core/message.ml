@@ -497,6 +497,11 @@ let batch_digest entries =
   List.iter (fun e -> Fingerprint.add_part b (entry_digest e)) entries;
   Fingerprint.finish b
 
+let batch_digest_of_digests digests =
+  let b = batch_builder in
+  List.iter (Fingerprint.add_part b) digests;
+  Fingerprint.finish b
+
 (* --- modeled padding -------------------------------------------------- *)
 
 let entry_padding = function Full r -> r.op.Payload.pad | Summary _ | Null_entry -> 0
@@ -557,22 +562,31 @@ let decode_envelope s = fst (decode_envelope_ex s)
 
 let envelope_size env wire = String.length wire + padding env.msg
 
-let tag_name = function
-  | Request _ -> "request"
-  | Pre_prepare _ -> "pre-prepare"
-  | Ordered_pre_prepare _ -> "ordered-pre-prepare"
-  | Prepare _ -> "prepare"
-  | Commit _ -> "commit"
-  | Reply _ -> "reply"
-  | Checkpoint _ -> "checkpoint"
-  | View_change _ -> "view-change"
-  | New_view _ -> "new-view"
-  | Get_state _ -> "get-state"
-  | State _ -> "state"
-  | Fetch_batch _ -> "fetch-batch"
-  | New_key _ -> "new-key"
-  | State_meta _ -> "state-meta"
-  | Get_pages _ -> "get-pages"
-  | Pages _ -> "pages"
-  | Status _ -> "status"
-  | Busy _ -> "busy"
+let tag_index = function
+  | Request _ -> 0
+  | Pre_prepare _ -> 1
+  | Ordered_pre_prepare _ -> 2
+  | Prepare _ -> 3
+  | Commit _ -> 4
+  | Reply _ -> 5
+  | Checkpoint _ -> 6
+  | View_change _ -> 7
+  | New_view _ -> 8
+  | Get_state _ -> 9
+  | State _ -> 10
+  | Fetch_batch _ -> 11
+  | New_key _ -> 12
+  | State_meta _ -> 13
+  | Get_pages _ -> 14
+  | Pages _ -> 15
+  | Status _ -> 16
+  | Busy _ -> 17
+
+let tag_names =
+  [|
+    "request"; "pre-prepare"; "ordered-pre-prepare"; "prepare"; "commit"; "reply";
+    "checkpoint"; "view-change"; "new-view"; "get-state"; "state"; "fetch-batch";
+    "new-key"; "state-meta"; "get-pages"; "pages"; "status"; "busy";
+  |]
+
+let tag_name msg = tag_names.(tag_index msg)

@@ -161,14 +161,17 @@ type envelope = {
 }
 
 val request_digest : request -> Fingerprint.t
-(** D(m) over the canonical encoding of the request. Memoized per physical
-    record: request values are immutable and each decoded message yields
-    one record reused across protocol steps. *)
+(** D(m) over the canonical encoding of the request. Not memoized: each
+    call hashes the request again. *)
 
 val entry_digest : batch_entry -> Fingerprint.t
 
 val batch_digest : batch_entry list -> Fingerprint.t
 (** The [d] bound by PREPARE and COMMIT. *)
+
+val batch_digest_of_digests : Fingerprint.t list -> Fingerprint.t
+(** [batch_digest entries] given [List.map entry_digest entries], for a
+    caller that needs the entry digests too. *)
 
 val encode_body : t -> string
 (** Canonical encoding of the message (without envelope framing). *)
@@ -204,3 +207,9 @@ val envelope_size : envelope -> string -> int
 
 val tag_name : t -> string
 (** For logs and per-message-type counters. *)
+
+val tag_index : t -> int
+(** Dense index of the message's constructor: [tag_name m] is
+    [tag_names.(tag_index m)]. *)
+
+val tag_names : string array

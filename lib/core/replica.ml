@@ -744,7 +744,9 @@ and execute_slot t (slot : Log.slot) ~tentative =
   let undos = ref [] in
   List.iter
     (fun r ->
-      Hashtbl.remove t.waiting (Message.request_digest r);
+      (* Only backups track waiting requests; skip the hash when none are. *)
+      if Hashtbl.length t.waiting > 0 then
+        Hashtbl.remove t.waiting (Message.request_digest r);
       execute_request t r ~tentative undos)
     (resolve_entries t entries);
   slot.Log.undos <- !undos;
@@ -1245,7 +1247,7 @@ and send_pre_prepare t seq entries =
   slot.Log.pre_prepare <- Some (t.view, entries);
   slot.Log.pp_digest <- Some digest;
   slot.Log.proposer <- t.id;
-  slot.Log.missing_bodies <- [];
+  Log.set_missing t.log slot [];
   Hashtbl.replace t.batch_store digest (seq, entries);
   (* [max]: a rotating-mode primary reclaim can propose below our own
      cursor; the cursor must never move backwards. *)
@@ -1356,7 +1358,10 @@ and check_committed t (slot : Log.slot) =
   end
 
 and on_pre_prepare t sender (pp : Message.pre_prepare) =
-  let digest = Message.batch_digest pp.Message.entries in
+  (* Each request is hashed once here; the digests feed both the batch
+     digest and the request store. *)
+  let entry_digests = List.map Message.entry_digest pp.Message.entries in
+  let digest = Message.batch_digest_of_digests entry_digests in
   let fill_bodies (slot : Log.slot) =
     (* A retransmitted/fetched body for a batch we already know by digest:
        any sender is fine, the digest vouches for the content. *)
@@ -1365,8 +1370,8 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
       (match slot.Log.pre_prepare with
       | Some (v, _) -> slot.Log.pre_prepare <- Some (v, pp.Message.entries)
       | None -> slot.Log.pre_prepare <- Some (pp.Message.view, pp.Message.entries));
-      store_bodies t pp.Message.entries;
-      slot.Log.missing_bodies <- compute_missing t pp.Message.entries;
+      store_bodies t pp.Message.entries entry_digests;
+      Log.set_missing t.log slot (compute_missing t pp.Message.entries);
       if slot.Log.missing_bodies = [] then begin
         Hashtbl.replace t.batch_store digest (slot.Log.seq, pp.Message.entries);
         if slot.Log.proposer <> t.id then send_prepare t slot;
@@ -1406,8 +1411,8 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
         slot.Log.pre_prepare <- Some (t.view, pp.Message.entries);
         slot.Log.pp_digest <- Some digest;
         slot.Log.proposer <- sender;
-        store_bodies t pp.Message.entries;
-        slot.Log.missing_bodies <- compute_missing t pp.Message.entries;
+        store_bodies t pp.Message.entries entry_digests;
+        Log.set_missing t.log slot (compute_missing t pp.Message.entries);
         Metrics.incr t.metrics "preprepare.accepted";
         emit_trace t ~seqno:pp.Message.seq ~view:t.view Trace.Preprepare_accepted;
         t.max_pp_seen <- Stdlib.max t.max_pp_seen pp.Message.seq;
@@ -1435,22 +1440,22 @@ and on_pre_prepare t sender (pp : Message.pre_prepare) =
                 | _ -> ())
         end)
 
-and store_bodies t entries =
-  List.iter
-    (function
-      | Message.Full r ->
-        Hashtbl.replace t.request_store (Message.request_digest r) r
+and store_bodies t entries entry_digests =
+  List.iter2
+    (fun entry digest ->
+      match entry with
+      | Message.Full r -> Hashtbl.replace t.request_store digest r
       | Message.Summary _ | Message.Null_entry -> ())
-    entries
+    entries entry_digests
 
 (* A request body just arrived: unblock any slot whose pre-prepare was
    waiting for it. *)
 and resolve_missing t digest =
-  Log.iter t.log (fun slot ->
+  Log.iter_awaiting t.log (fun slot ->
       if List.exists (Fingerprint.equal digest) slot.Log.missing_bodies then begin
         match slot.Log.pre_prepare with
         | Some (_, entries) ->
-          slot.Log.missing_bodies <- compute_missing t entries;
+          Log.set_missing t.log slot (compute_missing t entries);
           if slot.Log.missing_bodies = [] then begin
             (match slot.Log.pp_digest with
             | Some d -> Hashtbl.replace t.batch_store d (slot.Log.seq, entries)
@@ -1967,13 +1972,13 @@ and install_new_view t (nv : Message.new_view) =
         t.max_pp_seen <- Stdlib.max t.max_pp_seen e.Message.seq;
         if entries <> [] then begin
           slot.Log.pre_prepare <- Some (t.view, entries);
-          store_bodies t entries;
-          slot.Log.missing_bodies <- compute_missing t entries;
+          store_bodies t entries (List.map Message.entry_digest entries);
+          Log.set_missing t.log slot (compute_missing t entries);
           Hashtbl.replace t.batch_store e.Message.digest (e.Message.seq, entries)
         end
         else begin
           slot.Log.pre_prepare <- Some (t.view, []);
-          slot.Log.missing_bodies <- [ e.Message.digest ]
+          Log.set_missing t.log slot [ e.Message.digest ]
         end;
         (* Carry over execution state for batches we already finalized; the
            slot keeps counting as prepared so the certificate appears in any
@@ -2119,6 +2124,8 @@ let maybe_replay t ~wire ~size =
       old_wire
   end
 
+let recv_counter_names = Array.map (fun tag -> "recv." ^ tag) Message.tag_names
+
 let handle_envelope t ~wire ~prefix_len ~size (env : Message.envelope) =
   (match t.behavior with
   | Behavior.Slow extra -> charge t extra
@@ -2128,7 +2135,7 @@ let handle_envelope t ~wire ~prefix_len ~size (env : Message.envelope) =
     (match t.behavior with
     | Behavior.Replay -> maybe_replay t ~wire ~size
     | _ -> ());
-    Metrics.incr t.metrics ("recv." ^ Message.tag_name env.Message.msg);
+    Metrics.incr t.metrics recv_counter_names.(Message.tag_index env.Message.msg);
     (* Piggybacked commits: only the sender's own commits are credible. *)
     List.iter
       (fun (c : Message.commit) ->

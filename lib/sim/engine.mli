@@ -18,8 +18,23 @@ val schedule : t -> delay:float -> (unit -> unit) -> unit
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Fire a closure at an absolute virtual time (clamped to now if past). *)
 
+type event
+(** A handle on a scheduled event, for cancelling it. *)
+
+val schedule_event : t -> delay:float -> (unit -> unit) -> event
+(** [schedule] that returns a handle on the event. *)
+
+val cancel : t -> event -> unit
+(** Take the event out of the queue in O(log n): it never fires and no
+    longer counts in {!pending}. A no-op once the event has fired or been
+    cancelled. The remaining events keep their (time, schedule order). *)
+
+val scheduled : event -> bool
+(** [true] until the event starts firing or is cancelled. *)
+
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of events still to fire. Cancelled events are not counted:
+    they have left the queue. *)
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Process events in time order until the queue drains, the clock would

@@ -1,19 +1,15 @@
-type t = { mutable live : bool }
+type t = Never | Armed of { engine : Engine.t; event : Engine.event }
 
-let never = { live = false }
+let never = Never
 
 let start engine ~delay fn =
-  let t = { live = true } in
-  Engine.schedule engine ~delay (fun () ->
-      if t.live then begin
-        t.live <- false;
-        fn ()
-      end);
-  t
+  Armed { engine; event = Engine.schedule_event engine ~delay fn }
 
-let cancel t = t.live <- false
+let cancel = function
+  | Never -> ()
+  | Armed { engine; event } -> Engine.cancel engine event
 
-let active t = t.live
+let active = function Never -> false | Armed { event; _ } -> Engine.scheduled event
 
 let restart engine t ~delay fn =
   cancel t;

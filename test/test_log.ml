@@ -133,6 +133,109 @@ let test_iter_sorted () =
   Log.iter log (fun slot -> seen := slot.Log.seq :: !seen);
   check (Alcotest.list Alcotest.int) "ascending" [ 2; 5; 9 ] (List.rev !seen)
 
+(* [iter] looks each seq up when it reaches it: a slot created ahead of
+   the walk is visited, one truncated before the walk reaches it is not. *)
+let test_iter_during_walk () =
+  let log = Log.create ~low:0 ~window:8 () in
+  List.iter (fun s -> ignore (Log.get log s)) [ 1; 2; 3 ];
+  let seen = ref [] in
+  Log.iter log (fun slot ->
+      seen := slot.Log.seq :: !seen;
+      if slot.Log.seq = 1 then ignore (Log.get log 6);
+      if slot.Log.seq = 2 then Log.truncate log ~new_low:3);
+  check (Alcotest.list Alcotest.int) "created seen, truncated skipped" [ 1; 2; 6 ]
+    (List.rev !seen)
+
+let test_awaiting () =
+  let log = Log.create ~low:0 ~window:8 () in
+  let visits () =
+    let seen = ref [] in
+    Log.iter_awaiting log (fun slot -> seen := slot.Log.seq :: !seen);
+    List.rev !seen
+  in
+  let a = Log.get log 2 and b = Log.get log 5 in
+  Log.set_missing log a [ d1 ];
+  Log.set_missing log b [ d1; d2 ];
+  Log.set_missing log b [ d2 ];
+  check Alcotest.int "two awaiting" 2 (Log.awaiting log);
+  check (Alcotest.list Alcotest.int) "awaiting slots" [ 2; 5 ] (visits ());
+  Log.set_missing log a [];
+  check (Alcotest.list Alcotest.int) "resolved slot dropped" [ 5 ] (visits ());
+  Log.truncate log ~new_low:6;
+  check Alcotest.int "truncation forgets awaiting slots" 0 (Log.awaiting log);
+  Log.set_missing log b [ d1 ];
+  check Alcotest.int "a truncated slot does not count" 0 (Log.awaiting log)
+
+(* The ring against a [Map] model, over random get/find/truncate/
+   set_missing sequences on a small window, so seqs wrap past L many times
+   and some truncations jump beyond the high watermark. Each created slot
+   is stamped (in [proposer]) so the model can tell it from a fresh one. *)
+module Int_map = Map.Make (Int)
+
+let log_model_prop =
+  QCheck.Test.make ~name:"ring log matches a map model" ~count:300
+    QCheck.(
+      pair (int_range 1 6)
+        (list_of_size Gen.(int_bound 80) (pair (int_bound 4) (int_bound 20))))
+    (fun (window, ops) ->
+      let log = Log.create ~low:0 ~window () in
+      let low = ref 0 and model = ref Int_map.empty and stamp = ref 0 in
+      let fail msg = QCheck.Test.fail_report msg in
+      let in_window seq = seq > !low && seq <= !low + window in
+      let same_slot seq = function
+        | None -> not (Int_map.mem seq !model)
+        | Some slot -> (
+          match Int_map.find_opt seq !model with
+          | Some (token, _) -> slot.Log.seq = seq && slot.Log.proposer = token
+          | None -> false)
+      in
+      List.iter
+        (fun (kind, arg) ->
+          (* seqs and new lows relative to the low watermark: below, inside
+             and beyond the window *)
+          let seq = !low + arg - 2 in
+          (match kind with
+          | 0 -> (
+            match Log.get log seq with
+            | slot ->
+              if not (in_window seq) then fail "get accepted an out-of-window seq";
+              (match Int_map.find_opt seq !model with
+              | Some (token, _) ->
+                if slot.Log.proposer <> token then fail "get returned another slot"
+              | None ->
+                if slot.Log.proposer <> -1 then fail "get reused a stale slot";
+                incr stamp;
+                slot.Log.proposer <- !stamp;
+                model := Int_map.add seq (!stamp, false) !model)
+            | exception Invalid_argument _ ->
+              if in_window seq then fail "get rejected an in-window seq")
+          | 1 -> if not (same_slot seq (Log.find log seq)) then fail "find differs"
+          | 2 ->
+            Log.truncate log ~new_low:seq;
+            if seq > !low then begin
+              low := seq;
+              model := Int_map.filter (fun s _ -> s > seq) !model
+            end
+          | _ -> (
+            match (Log.find log seq, Int_map.find_opt seq !model) with
+            | Some slot, Some (token, missing) ->
+              Log.set_missing log slot (if missing then [] else [ d1 ]);
+              model := Int_map.add seq (token, not missing) !model
+            | _ -> ()));
+          if Log.low_watermark log <> !low then fail "low watermark differs";
+          let walked = ref [] in
+          Log.iter log (fun slot -> walked := (slot.Log.seq, slot.Log.proposer) :: !walked);
+          if List.rev !walked <> List.map (fun (s, (tok, _)) -> (s, tok)) (Int_map.bindings !model)
+          then fail "iter differs (not ascending or wrong slots)";
+          let awaiting = Int_map.filter (fun _ (_, m) -> m) !model in
+          if Log.awaiting log <> Int_map.cardinal awaiting then fail "awaiting count differs";
+          let visited = ref [] in
+          Log.iter_awaiting log (fun slot -> visited := slot.Log.seq :: !visited);
+          if List.rev !visited <> List.map fst (Int_map.bindings awaiting) then
+            fail "iter_awaiting differs")
+        ops;
+      true)
+
 let test_f2_quorums () =
   let log = Log.create ~low:0 ~window:8 () in
   let slot = fresh_slot log in
@@ -145,6 +248,7 @@ let test_f2_quorums () =
   check Alcotest.bool "4 prepares enough at f=2" true (Log.is_prepared slot ~f:2 0)
 
 let () =
+  let q = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20010701 |]) in
   Alcotest.run "log"
     [
       ( "log",
@@ -165,6 +269,9 @@ let () =
           Alcotest.test_case "later view wins" `Quick test_later_view_wins;
           Alcotest.test_case "truncate" `Quick test_truncate;
           Alcotest.test_case "iter sorted" `Quick test_iter_sorted;
+          Alcotest.test_case "iter during the walk" `Quick test_iter_during_walk;
+          Alcotest.test_case "awaiting bodies" `Quick test_awaiting;
+          q log_model_prop;
           Alcotest.test_case "f=2 quorums" `Quick test_f2_quorums;
         ] );
     ]

@@ -113,6 +113,47 @@ let test_timer_restart () =
 let test_timer_never () =
   check Alcotest.bool "never inactive" false (Timer.active Timer.never)
 
+let test_timer_cancel_leaves_queue () =
+  let e = Engine.create () in
+  let t = Timer.start e ~delay:1.0 (fun () -> ()) in
+  check Alcotest.int "queued" 1 (Engine.pending e);
+  Timer.cancel t;
+  check Alcotest.int "pending after cancel" 0 (Engine.pending e);
+  Engine.run e;
+  check (Alcotest.float 0.0) "clock never reaches the cancelled time" 0.0 (Engine.now e)
+
+let test_timer_cancel_noops () =
+  let e = Engine.create () in
+  let fired = Timer.start e ~delay:1.0 (fun () -> ()) in
+  Engine.run e;
+  let cancelled = Timer.start e ~delay:1.0 (fun () -> ()) in
+  Timer.cancel cancelled;
+  let hits = ref 0 in
+  let live = Timer.start e ~delay:1.0 (fun () -> incr hits) in
+  (* [live] may now sit in the queue slot [fired] or [cancelled] held *)
+  Timer.cancel fired;
+  Timer.cancel cancelled;
+  Timer.cancel Timer.never;
+  check Alcotest.int "live event still queued" 1 (Engine.pending e);
+  check Alcotest.bool "live timer active" true (Timer.active live);
+  Engine.run e;
+  check Alcotest.int "live timer fired" 1 !hits
+
+let test_engine_cancel_keeps_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let ev name = Engine.schedule_event e ~delay:1.0 (fun () -> log := name :: !log) in
+  let a = ev "a" and b = ev "b" and c = ev "c" in
+  ignore a;
+  Engine.schedule e ~delay:0.5 (fun () -> log := "early" :: !log);
+  Engine.cancel e b;
+  check Alcotest.bool "cancelled not scheduled" false (Engine.scheduled b);
+  check Alcotest.bool "others scheduled" true (Engine.scheduled c);
+  Engine.run e;
+  check (Alcotest.list Alcotest.string) "time then schedule order"
+    [ "early"; "a"; "c" ] (List.rev !log);
+  check Alcotest.bool "fired not scheduled" false (Engine.scheduled c)
+
 (* --- cpu ------------------------------------------------------------------- *)
 
 let test_cpu_serializes_handlers () =
@@ -196,6 +237,7 @@ let () =
           Alcotest.test_case "stop" `Quick test_engine_stop;
           Alcotest.test_case "max events" `Quick test_engine_max_events;
           Alcotest.test_case "step" `Quick test_engine_step;
+          Alcotest.test_case "cancel keeps order" `Quick test_engine_cancel_keeps_order;
         ] );
       ( "timer",
         [
@@ -203,6 +245,9 @@ let () =
           Alcotest.test_case "cancel" `Quick test_timer_cancel;
           Alcotest.test_case "restart" `Quick test_timer_restart;
           Alcotest.test_case "never" `Quick test_timer_never;
+          Alcotest.test_case "cancel leaves the queue" `Quick
+            test_timer_cancel_leaves_queue;
+          Alcotest.test_case "cancel no-ops" `Quick test_timer_cancel_noops;
         ] );
       ( "cpu",
         [

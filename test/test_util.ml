@@ -14,7 +14,7 @@ let test_heap_basic () =
   Heap.push h ~priority:1.0 "a";
   Heap.push h ~priority:2.0 "b";
   check Alcotest.int "length" 3 (Heap.length h);
-  check (Alcotest.option (Alcotest.float 0.0)) "peek" (Some 1.0) (Heap.peek_priority h);
+  check (Alcotest.float 0.0) "peek" 1.0 (Heap.min_priority h);
   check Alcotest.string "pop a" "a" (Heap.pop h);
   check Alcotest.string "pop b" "b" (Heap.pop h);
   check Alcotest.string "pop c" "c" (Heap.pop h);
@@ -81,15 +81,98 @@ let heap_sorted_prop =
       let h = Heap.create () in
       List.iter (fun (p, v) -> Heap.push h ~priority:p v) items;
       let rec drain last acc =
-        match Heap.peek_priority h with
-        | None -> List.rev acc
-        | Some p ->
+        if Heap.is_empty h then List.rev acc
+        else begin
+          let p = Heap.min_priority h in
           let v = Heap.pop h in
           if p < last then QCheck.Test.fail_report "priority decreased";
           drain p (v :: acc)
+        end
       in
       let out = drain neg_infinity [] in
       List.length out = List.length items)
+
+let test_heap_remove () =
+  let h = Heap.create () in
+  let a = Heap.add h ~priority:1.0 "a" in
+  let b = Heap.add h ~priority:1.0 "b" in
+  Heap.push h ~priority:0.5 "first";
+  Heap.remove h b;
+  check Alcotest.bool "removed entry not queued" false (Heap.queued b);
+  check Alcotest.int "length drops" 2 (Heap.length h);
+  Heap.remove h b;
+  check Alcotest.int "second remove is a no-op" 2 (Heap.length h);
+  check Alcotest.string "pop first" "first" (Heap.pop h);
+  check Alcotest.bool "a still queued" true (Heap.queued a);
+  check Alcotest.string "pop a" "a" (Heap.pop h);
+  check Alcotest.bool "popped entry not queued" false (Heap.queued a);
+  Heap.remove h a;
+  check Alcotest.bool "empty" true (Heap.is_empty h);
+  let other = Heap.create () in
+  let c = Heap.add other ~priority:1.0 "c" in
+  Heap.push h ~priority:2.0 "d";
+  Heap.remove h c;
+  check Alcotest.int "foreign entry ignored" 1 (Heap.length other)
+
+(* Random push/cancel/pop interleavings against the fire-and-ignore
+   model: a sorted list that keeps cancelled entries and skips them when
+   they reach the front. Priorities come from a small set so ties (FIFO
+   by push order) are common. *)
+let heap_cancel_prop =
+  QCheck.Test.make ~name:"heap cancel matches skip model" ~count:300
+    QCheck.(list_of_size Gen.(int_bound 120) (triple (int_bound 2) (int_bound 3) small_nat))
+    (fun ops ->
+      let h = Heap.create () in
+      (* handles: (entry, value, liveness flag shared with the model) *)
+      let handles = ref [||] and model = ref [] and live_count = ref 0 in
+      let rec model_pop () =
+        match !model with
+        | [] -> None
+        | (_, v, live) :: rest ->
+          model := rest;
+          if !live then begin
+            live := false;
+            decr live_count;
+            Some v
+          end
+          else model_pop ()
+      in
+      List.iter
+        (fun (kind, prio, pick) ->
+          (match kind with
+          | 0 ->
+            let v = Array.length !handles and p = float_of_int prio in
+            let live = ref true in
+            handles := Array.append !handles [| (Heap.add h ~priority:p v, v, live) |];
+            incr live_count;
+            (* after every entry with priority <= p: FIFO on ties *)
+            let before, after = List.partition (fun (q, _, _) -> q <= p) !model in
+            model := before @ ((p, v, live) :: after)
+          | 1 ->
+            if Array.length !handles > 0 then begin
+              let e, _, live = (!handles).(pick mod Array.length !handles) in
+              Heap.remove h e;
+              if !live then begin
+                live := false;
+                decr live_count
+              end
+            end
+          | _ ->
+            let got = if Heap.is_empty h then None else Some (Heap.pop h) in
+            if got <> model_pop () then QCheck.Test.fail_report "pop order differs");
+          if Heap.length h <> !live_count then
+            QCheck.Test.fail_report "length counts a dead entry";
+          Array.iter
+            (fun (e, _, live) ->
+              if Heap.queued e <> !live then QCheck.Test.fail_report "queued flag wrong")
+            !handles)
+        ops;
+      let rec drain () =
+        match model_pop () with
+        | None -> Heap.is_empty h
+        | Some v -> Heap.pop h = v && drain ()
+      in
+      drain ())
 
 (* --- rng --------------------------------------------------------------- *)
 
@@ -514,6 +597,8 @@ let () =
             test_heap_clear_resets_fifo;
           Alcotest.test_case "grows past initial capacity" `Quick test_heap_grows;
           q heap_sorted_prop;
+          Alcotest.test_case "remove" `Quick test_heap_remove;
+          q heap_cancel_prop;
         ] );
       ( "rng",
         [
